@@ -24,7 +24,7 @@ from .evaluation import (
     theoretical_rate_ratio,
 )
 from .exceptions import EstimationError
-from .lp import LinearProgram, LPResult, LPSolveError, format_lp, lp_solve
+from .lp import LPResult, LPSolveError, lp_solve
 from .model import (
     Dataset,
     FactorModel,

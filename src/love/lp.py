@@ -1,419 +1,54 @@
-"""Dense exact linear programming via a two-phase tableau simplex.
-
-Problems are stated as
-
-    minimize    c @ x
-    subject to  a_ub @ x <= b_ub
-                a_eq @ x == b_eq
-                lb <= x <= ub   (per-variable bounds, default (0, None))
-
-The solver converts to standard form and runs a two-phase tableau simplex.
-Pricing uses Devex reference weights; heavy degeneracy is defused by a
-deterministic, tiny perturbation of the right-hand side, which leaves the
-optimal basis intact because reduced costs do not depend on b.  If the
-objective still stalls, pivoting falls back to Bland's rule, which guarantees
-termination.  Every choice breaks ties by lowest index, so the result is
-deterministic, and the final basic solution is re-solved against the original
-constraint data to shed pivot drift and the perturbation.
+"""Linear programs through scipy's HiGHS: minimize c @ x subject to
+a_ub @ x <= b_ub and per-variable bounds lb <= x <= ub, default (0, None).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
-__all__ = ["LinearProgram", "LPResult", "LPSolveError", "lp_solve", "format_lp"]
+from .exceptions import EstimationError
 
-_STALL_LIMIT = 2000
-_PIVOT_TOL = 1e-9
-_PERTURB = 1e-10
+__all__ = ["LPResult", "LPSolveError", "lp_solve"]
+
+# Interior point with crossover, which ends at a vertex as a simplex would.
+# Not the dual simplex ("highs"): on four K = 40 precision LPs (2-vCPU Xeon VM)
+# it took 27-50 s and 30k-43k iterations, this 1.2-1.4 s for the same optimum.
+_METHOD = "highs-ipm"
+_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-class LPSolveError(RuntimeError):
-    """Numerical failure inside the solver; carries the last known status."""
+class LPSolveError(EstimationError):
+    """The solver failed, or a program that must have an optimum had none.
 
-    def __init__(self, message: str, status: str = "numeric"):
+    Carries the status that ended the solve.
+    """
+
+    def __init__(self, message: str, status: str):
         super().__init__(message)
         self.status = status
 
 
 @dataclass
-class LinearProgram:
-    """A linear program in inequality/equality form."""
-
-    c: np.ndarray
-    a_ub: Optional[np.ndarray] = None
-    b_ub: Optional[np.ndarray] = None
-    a_eq: Optional[np.ndarray] = None
-    b_eq: Optional[np.ndarray] = None
-    bounds: Optional[list[tuple[Optional[float], Optional[float]]]] = None
-
-    def __post_init__(self) -> None:
-        self.c = np.asarray(self.c, dtype=float).reshape(-1)
-        n = self.c.shape[0]
-        for name in ("a_ub", "a_eq"):
-            mat = getattr(self, name)
-            if mat is not None:
-                mat = np.atleast_2d(np.asarray(mat, dtype=float))
-                if mat.shape[1] != n:
-                    raise ValueError(f"{name} must have {n} columns, got {mat.shape[1]}")
-                setattr(self, name, mat)
-        for mat_name, vec_name in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
-            mat, vec = getattr(self, mat_name), getattr(self, vec_name)
-            if (mat is None) != (vec is None):
-                raise ValueError(f"{mat_name} and {vec_name} must be given together")
-            if vec is not None:
-                vec = np.asarray(vec, dtype=float).reshape(-1)
-                if vec.shape[0] != mat.shape[0]:
-                    raise ValueError(f"{vec_name} length does not match {mat_name}")
-                setattr(self, vec_name, vec)
-        if self.bounds is None:
-            self.bounds = [(0.0, None)] * n
-        if len(self.bounds) != n:
-            raise ValueError("bounds must list one (lb, ub) pair per variable")
-
-    @property
-    def n(self) -> int:
-        return self.c.shape[0]
-
-
-@dataclass
 class LPResult:
     status: str
-    value: Optional[float]
-    x: Optional[np.ndarray]
-    iterations: int = 0
-    message: str = ""
+    value: float | None
+    x: np.ndarray | None
+    iterations: int
 
 
-@dataclass
-class _Standardized:
-    """Standard form min c_std @ y, A y = b, y >= 0, plus the inverse map."""
+def lp_solve(c, a_ub=None, b_ub=None, bounds=(0.0, None)) -> LPResult:
+    """Solve the program; status is ``optimal``, ``infeasible`` or ``unbounded``.
 
-    a: np.ndarray
-    b: np.ndarray
-    c_std: np.ndarray
-    shift: float
-    # per original variable: ("shift", col, lb) | ("mirror", col, ub) | ("split", pos, neg)
-    var_map: list[tuple] = field(default_factory=list)
-    n_structural: int = 0
-
-    def back_transform(self, y: np.ndarray) -> np.ndarray:
-        x = np.empty(len(self.var_map))
-        for j, spec in enumerate(self.var_map):
-            kind = spec[0]
-            if kind == "shift":
-                x[j] = y[spec[1]] + spec[2]
-            elif kind == "mirror":
-                x[j] = spec[2] - y[spec[1]]
-            else:
-                x[j] = y[spec[1]] - y[spec[2]]
-        return x
-
-
-def _standardize(program: LinearProgram) -> Optional[_Standardized]:
-    """Rewrite with nonnegative variables and slack columns.
-
-    Returns None when a variable's bounds are empty (immediately infeasible).
+    Any other solver outcome (iteration limit, numerical trouble) raises
+    ``LPSolveError``.  Malformed shapes raise scipy's ``ValueError``.
     """
-    n = program.n
-    var_map: list[tuple] = []
-    offsets = np.zeros(n)
-    multipliers: list[list[tuple[int, float]]] = []
-    extra_rows: list[tuple[int, float]] = []  # (std column, upper value)
-    col = 0
-    for j, (lb, ub) in enumerate(program.bounds):
-        if lb is not None and ub is not None and lb > ub:
-            return None
-        if lb is not None:
-            var_map.append(("shift", col, float(lb)))
-            offsets[j] = lb
-            multipliers.append([(col, 1.0)])
-            if ub is not None:
-                extra_rows.append((col, float(ub - lb)))
-            col += 1
-        elif ub is not None:
-            var_map.append(("mirror", col, float(ub)))
-            offsets[j] = ub
-            multipliers.append([(col, -1.0)])
-            col += 1
-        else:
-            var_map.append(("split", col, col + 1))
-            multipliers.append([(col, 1.0), (col + 1, -1.0)])
-            col += 2
-    n_struct = col
-
-    def substitute(mat: np.ndarray) -> np.ndarray:
-        out = np.zeros((mat.shape[0], n_struct))
-        for j in range(n):
-            for cc, mult in multipliers[j]:
-                out[:, cc] += mult * mat[:, j]
-        return out
-
-    ub_blocks, ub_rhs = [], []
-    if program.a_ub is not None:
-        ub_blocks.append(substitute(program.a_ub))
-        ub_rhs.append(program.b_ub - program.a_ub @ offsets)
-    if extra_rows:
-        bound_block = np.zeros((len(extra_rows), n_struct))
-        bound_rhs = np.empty(len(extra_rows))
-        for r, (cc, val) in enumerate(extra_rows):
-            bound_block[r, cc] = 1.0
-            bound_rhs[r] = val
-        ub_blocks.append(bound_block)
-        ub_rhs.append(bound_rhs)
-    a_ub = np.vstack(ub_blocks) if ub_blocks else np.zeros((0, n_struct))
-    b_ub = np.concatenate(ub_rhs) if ub_rhs else np.zeros(0)
-
-    if program.a_eq is not None:
-        a_eq = substitute(program.a_eq)
-        b_eq = program.b_eq - program.a_eq @ offsets
-    else:
-        a_eq = np.zeros((0, n_struct))
-        b_eq = np.zeros(0)
-
-    m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
-    m = m_ub + m_eq
-    a = np.zeros((m, n_struct + m_ub))
-    a[:m_ub, :n_struct] = a_ub
-    a[:m_ub, n_struct:] = np.eye(m_ub)
-    a[m_ub:, :n_struct] = a_eq
-    b = np.concatenate([b_ub, b_eq])
-
-    c_std = np.zeros(n_struct + m_ub)
-    for j in range(n):
-        for cc, mult in multipliers[j]:
-            c_std[cc] += mult * program.c[j]
-    shift = float(program.c @ offsets)
-    return _Standardized(
-        a=a, b=b, c_std=c_std, shift=shift, var_map=var_map, n_structural=n_struct
-    )
-
-
-class _Tableau:
-    """Mutable simplex tableau with Devex pricing and a Bland fallback."""
-
-    def __init__(self, tableau: np.ndarray, basis: np.ndarray, tol: float):
-        self.t = tableau
-        self.basis = basis
-        self.tol = tol
-        self._buffer = np.empty_like(tableau)
-        self.iterations = 0
-
-    def run(self, costs: np.ndarray, allowed: np.ndarray, max_iter: int) -> str:
-        t, basis, tol = self.t, self.basis, self.tol
-        m, width = t.shape
-        n_total = width - 1
-
-        reduced = costs.copy()
-        value = 0.0
-        for i in range(m):
-            cb = costs[basis[i]]
-            if cb != 0.0:
-                reduced -= cb * t[i, :-1]
-                value += cb * t[i, -1]
-
-        # a standard-form objective with nonnegative costs is bounded below
-        # by zero, so an "unbounded" verdict can only be pivot-tolerance noise
-        bounded_by_zero = bool((costs >= 0).all())
-
-        weights = np.ones(n_total)
-        bland = False
-        best_value = value
-        stall = 0
-        while True:
-            if self.iterations >= max_iter:
-                raise LPSolveError(
-                    f"simplex exceeded {max_iter} iterations", status="iteration-limit"
-                )
-            eligible = np.nonzero(allowed & (reduced < -tol))[0]
-            if eligible.size == 0:
-                return "optimal"
-            if bland:
-                entering = int(eligible[0])
-            else:
-                scores = reduced[eligible] ** 2 / weights[eligible]
-                entering = int(eligible[np.argmax(scores)])
-
-            column = t[:, entering]
-            positive = column > _PIVOT_TOL
-            if not positive.any():
-                if bounded_by_zero:
-                    allowed[entering] = False
-                    continue
-                return "unbounded"
-            ratios = np.full(m, np.inf)
-            ratios[positive] = t[positive, -1] / column[positive]
-            theta = ratios.min()
-            near = np.nonzero(ratios <= theta + 1e-12 * (1.0 + abs(theta)))[0]
-            if near.size == 1:
-                leaving = int(near[0])
-            elif bland:
-                leaving = int(near[np.argmin(basis[near])])
-            else:
-                leaving = int(near[np.argmax(np.abs(column[near]))])
-
-            pivot = t[leaving, entering]
-            leaving_var = basis[leaving]
-            t[leaving, :] /= pivot
-            factors = t[:, entering].copy()
-            factors[leaving] = 0.0
-            np.outer(factors, t[leaving, :], out=self._buffer)
-            t -= self._buffer
-            pivot_row = t[leaving, :-1]
-            delta_obj = reduced[entering] * t[leaving, -1]
-            reduced -= reduced[entering] * pivot_row
-            reduced[entering] = 0.0
-            basis[leaving] = entering
-            value += delta_obj
-            self.iterations += 1
-
-            if not bland:
-                w_enter = weights[entering]
-                np.maximum(weights, pivot_row**2 * w_enter, out=weights)
-                weights[leaving_var] = max(w_enter / max(pivot * pivot, 1e-12), 1.0)
-                if weights.max() > 1e12:
-                    weights[:] = 1.0
-                if value < best_value - tol * (1.0 + abs(best_value)):
-                    best_value = value
-                    stall = 0
-                else:
-                    stall += 1
-                    if stall >= _STALL_LIMIT:
-                        bland = True
-
-
-def lp_solve(
-    program: LinearProgram, tol: float = 1e-9, max_iter: int = 500_000
-) -> LPResult:
-    """Solve a linear program exactly with the two-phase simplex method.
-
-    Returns an ``LPResult`` with status ``optimal``, ``infeasible`` or
-    ``unbounded``.  Deterministic given the input.
-    """
-    std = _standardize(program)
-    if std is None:
-        return LPResult(status="infeasible", value=None, x=None, message="empty bounds")
-    a, b, c_std = std.a.copy(), std.b.copy(), std.c_std
-    m, n_cols = a.shape
-
-    if m == 0:
-        # only nonnegativity remains: optimum at 0 unless a cost is negative
-        if (c_std < -tol).any():
-            return LPResult(status="unbounded", value=None, x=None)
-        x = std.back_transform(np.zeros(n_cols))
-        return LPResult(status="optimal", value=float(program.c @ x), x=x)
-
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-    a_original = a.copy()
-    b_original = b.copy()
-    # deterministic anti-degeneracy perturbation, removed again by _refine
-    b = b + _PERTURB * (1.0 + b) * (1.0 + np.arange(m) / m)
-
-    n_struct = std.n_structural
-    m_ub = n_cols - n_struct
-    needs_artificial = np.ones(m, dtype=bool)
-    basis = np.full(m, -1, dtype=int)
-    for i in range(m_ub):
-        if not flip[i]:
-            basis[i] = n_struct + i
-            needs_artificial[i] = False
-    art_rows = np.nonzero(needs_artificial)[0]
-    n_art = art_rows.size
-    total = n_cols + n_art
-    tableau = np.zeros((m, total + 1))
-    tableau[:, :n_cols] = a
-    for k, i in enumerate(art_rows):
-        tableau[i, n_cols + k] = 1.0
-        basis[i] = n_cols + k
-    tableau[:, -1] = b
-
-    state = _Tableau(tableau, basis, tol)
-    if n_art:
-        phase1_cost = np.zeros(total)
-        phase1_cost[n_cols:] = 1.0
-        allowed = np.ones(total, dtype=bool)
-        status = state.run(phase1_cost, allowed, max_iter)
-        if status != "optimal":
-            raise LPSolveError("phase 1 did not terminate at an optimum", status)
-        tableau, basis = state.t, state.basis
-        infeas = float(phase1_cost[basis] @ tableau[:, -1])
-        if infeas > 1e-7 * (1.0 + abs(b_original).max()):
-            return LPResult(
-                status="infeasible", value=None, x=None, iterations=state.iterations
-            )
-        # drive leftover artificials out of the basis or drop redundant rows
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] < n_cols:
-                continue
-            row = tableau[i, :n_cols]
-            pivots = np.nonzero(np.abs(row) > _PIVOT_TOL)[0]
-            if pivots.size == 0:
-                keep[i] = False
-                continue
-            e = int(pivots[0])
-            tableau[i, :] /= tableau[i, e]
-            factors = tableau[:, e].copy()
-            factors[i] = 0.0
-            tableau -= np.outer(factors, tableau[i, :])
-            basis[i] = e
-        if not keep.all():
-            tableau = tableau[keep]
-            basis = basis[keep]
-            a_original = a_original[keep]
-            b_original = b_original[keep]
-
-    iterations_p1 = state.iterations
-    tableau = np.ascontiguousarray(
-        np.hstack([tableau[:, :n_cols], tableau[:, -1:]])
-    )
-    state = _Tableau(tableau, basis, tol)
-    state.iterations = iterations_p1
-    allowed = np.ones(n_cols, dtype=bool)
-    status = state.run(c_std, allowed, max_iter)
-    if status == "unbounded":
-        return LPResult(status="unbounded", value=None, x=None, iterations=state.iterations)
-
-    y = np.zeros(n_cols)
-    y[state.basis] = state.t[:, -1]
-    y = _refine(a_original, b_original, state.basis, y, n_cols)
-    x = std.back_transform(y)
-    return LPResult(
-        status="optimal", value=float(program.c @ x), x=x, iterations=state.iterations
-    )
-
-
-def _refine(a: np.ndarray, b: np.ndarray, basis: np.ndarray, y: np.ndarray, n_cols: int) -> np.ndarray:
-    """Re-solve the final basis against the original data to drop pivot drift."""
-    try:
-        xb = np.linalg.solve(a[:, basis], b)
-    except np.linalg.LinAlgError:
-        return np.maximum(y, 0.0)
-    if not np.isfinite(xb).all() or xb.min() < -1e-7:
-        return np.maximum(y, 0.0)
-    refined = np.zeros(n_cols)
-    refined[basis] = np.maximum(xb, 0.0)
-    return refined
-
-
-def format_lp(program: LinearProgram) -> str:
-    """Plain-text dump of the program, one constraint per line."""
-    lines = ["minimize"]
-    lines.append("  " + " + ".join(f"{program.c[j]:g} x{j}" for j in range(program.n)))
-    lines.append("subject to")
-    if program.a_ub is not None:
-        for row, rhs in zip(program.a_ub, program.b_ub):
-            terms = " + ".join(f"{v:g} x{j}" for j, v in enumerate(row) if v != 0) or "0"
-            lines.append(f"  {terms} <= {rhs:g}")
-    if program.a_eq is not None:
-        for row, rhs in zip(program.a_eq, program.b_eq):
-            terms = " + ".join(f"{v:g} x{j}" for j, v in enumerate(row) if v != 0) or "0"
-            lines.append(f"  {terms} == {rhs:g}")
-    for j, (lb, ub) in enumerate(program.bounds):
-        lines.append(f"  {lb if lb is not None else '-inf'} <= x{j} <= {ub if ub is not None else 'inf'}")
-    return "\n".join(lines)
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method=_METHOD)
+    status = _STATUS.get(res.status)
+    if status is None:
+        raise LPSolveError(f"LP solver failed: {res.message}", f"scipy-{res.status}")
+    if status != "optimal":
+        return LPResult(status, None, None, int(res.nit))
+    return LPResult(status, float(res.fun), res.x, int(res.nit))

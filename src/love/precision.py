@@ -10,6 +10,10 @@ The program is assembled over the K (K + 1) / 2 free entries of Omega, each
 split into a nonnegative positive and negative part; the row-sum constraint
 bounds the sum of both parts, which has the same projection onto (Omega, t)
 as bounding the true absolute row sums, so optima coincide.
+
+HiGHS solves the program (see ``love.lp``).  The optimal value t_hat is
+unique; the returned Omega is one optimal vertex, and the optimal set can
+hold more than one, so Omega is not unique.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LinearProgram, LPSolveError, lp_solve
+from .lp import LPSolveError, lp_solve
 
 __all__ = ["PrecisionEstimate", "estimate_precision", "precision_program"]
 
@@ -50,14 +54,15 @@ def _pair_index(k: int) -> np.ndarray:
     return pair
 
 
-def precision_program(c_hat: np.ndarray, lam: float) -> tuple[LinearProgram, np.ndarray]:
+def precision_program(c_hat: np.ndarray, lam: float) -> tuple[np.ndarray, ...]:
     """Build the LP for a given factor covariance and constraint scale.
 
     The last variable is u = lam * t, so the residual constraints read
     |(Omega M - I)_ab| <= u with O(1) coefficients and only the K row-sum
-    rows carry the lam scale; minimizing u minimizes t.  Returns the program
-    and the pair-index map used to fold the solution back into a symmetric
-    matrix.
+    rows carry the lam scale; minimizing u minimizes t.  Every variable is
+    nonnegative.  Returns the objective ``c``, the inequality system
+    ``a_ub @ x <= b_ub``, and the pair-index map used to fold the solution
+    back into a symmetric matrix.
     """
     c_hat = np.atleast_2d(np.asarray(c_hat, dtype=float))
     k = c_hat.shape[0]
@@ -95,24 +100,19 @@ def precision_program(c_hat: np.ndarray, lam: float) -> tuple[LinearProgram, np.
 
     objective = np.zeros(n)
     objective[-1] = 1.0
-    program = LinearProgram(
-        c=objective,
-        a_ub=np.vstack(blocks),
-        b_ub=np.concatenate(rhs),
-        bounds=[(0.0, None)] * n,
-    )
-    return program, pair
+    return objective, np.vstack(blocks), np.concatenate(rhs), pair
 
 
 def estimate_precision(c_hat: np.ndarray, lam: float) -> PrecisionEstimate:
     """Solve the precision LP at constraint scale ``lam``.
 
     The program is always feasible (Omega = 0, t = 1/lam), so a non-optimal
-    status indicates a numerical failure and raises ``LPSolveError``.
+    status indicates a numerical failure and raises ``LPSolveError``, an
+    ``EstimationError``.
     """
     c_hat = np.atleast_2d(np.asarray(c_hat, dtype=float))
-    program, pair = precision_program(c_hat, lam)
-    result = lp_solve(program)
+    c, a_ub, b_ub, pair = precision_program(c_hat, lam)
+    result = lp_solve(c, a_ub, b_ub)
     if result.status != "optimal":
         raise LPSolveError(
             f"precision LP ended with status {result.status}", result.status

@@ -1,11 +1,28 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from love.lp import LinearProgram, format_lp, lp_solve
-from love.model import benchmark_covariance
+import love.lp
+from love.cli import main as cli_main
+from love.exceptions import EstimationError
+from love.lp import LPSolveError, lp_solve
+from love.model import benchmark_covariance, benchmark_model, sample_dataset
 from love.precision import estimate_precision
+
+# optimal t from the two-phase simplex that solved the precision LP before
+# HiGHS did; t is unique even where the optimal Omega is not
+SIMPLEX_T_HAT_BENCHMARK = {
+    0.01: 0.8772567030077116,
+    0.1: 0.7305385039901113,
+    0.3: 0.532594797511341,
+}
+SIMPLEX_T_HAT_RANDOM_K30 = 0.9077994318540135
+
+
+def _failing_linprog(*args, **kwargs):
+    return SimpleNamespace(status=4, message="numerical difficulties", nit=0)
 
 
 def enumerate_vertices(c, a_ub, b_ub, lb, ub):
@@ -27,46 +44,33 @@ def enumerate_vertices(c, a_ub, b_ub, lb, ub):
 
 class TestLPSolve:
     def test_lower_bound_only(self):
-        result = lp_solve(LinearProgram(c=[1.0], bounds=[(3.0, None)]))
+        result = lp_solve([1.0], bounds=[(3.0, None)])
         assert result.status == "optimal"
         assert result.value == pytest.approx(3.0)
 
     def test_conflicting_constraints_infeasible(self):
-        result = lp_solve(
-            LinearProgram(
-                c=[0.0], a_ub=[[1.0], [-1.0]], b_ub=[-1.0, -1.0], bounds=[(None, None)]
-            )
-        )
+        result = lp_solve([0.0], [[1.0], [-1.0]], [-1.0, -1.0], bounds=[(None, None)])
         assert result.status == "infeasible"
 
     def test_unbounded_direction(self):
-        result = lp_solve(LinearProgram(c=[-1.0], bounds=[(0.0, None)]))
+        result = lp_solve([-1.0], bounds=[(0.0, None)])
         assert result.status == "unbounded"
 
     def test_empty_bounds_infeasible(self):
-        result = lp_solve(LinearProgram(c=[1.0], bounds=[(2.0, 1.0)]))
+        result = lp_solve([1.0], bounds=[(2.0, 1.0)])
         assert result.status == "infeasible"
-
-    def test_equality_constraint(self):
-        result = lp_solve(
-            LinearProgram(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[2.0])
-        )
-        assert result.status == "optimal"
-        assert result.value == pytest.approx(2.0)
-        assert result.x == pytest.approx([2.0, 0.0])
 
     def test_degenerate_problem_terminates(self):
         # classic cycling-prone instance; the optimum is -1/20
-        program = LinearProgram(
-            c=[-0.75, 150.0, -0.02, 6.0],
-            a_ub=[
+        result = lp_solve(
+            [-0.75, 150.0, -0.02, 6.0],
+            [
                 [0.25, -60.0, -0.04, 9.0],
                 [0.5, -90.0, -0.02, 3.0],
                 [0.0, 0.0, 1.0, 0.0],
             ],
-            b_ub=[0.0, 0.0, 1.0],
+            [0.0, 0.0, 1.0],
         )
-        result = lp_solve(program)
         assert result.status == "optimal"
         assert result.value == pytest.approx(-0.05, abs=1e-9)
 
@@ -79,36 +83,23 @@ class TestLPSolve:
             a_ub = rng.standard_normal((5, n))
             x0 = rng.uniform(lb + 0.5, ub - 0.5, n)
             b_ub = a_ub @ x0 + rng.uniform(0.1, 1.0, 5)
-            program = LinearProgram(
-                c=c, a_ub=a_ub, b_ub=b_ub, bounds=[(lb, ub)] * n
-            )
-            result = lp_solve(program)
+            result = lp_solve(c, a_ub, b_ub, bounds=[(lb, ub)] * n)
             assert result.status == "optimal", trial
             oracle = enumerate_vertices(c, a_ub, b_ub, lb, ub)
             assert result.value == pytest.approx(oracle, abs=1e-9), trial
 
     def test_deterministic(self):
-        program = LinearProgram(
-            c=[1.0, -2.0, 0.5],
-            a_ub=[[1.0, 1.0, 1.0], [-1.0, 2.0, 0.0]],
-            b_ub=[4.0, 1.0],
-            bounds=[(0.0, 3.0)] * 3,
-        )
-        r1, r2 = lp_solve(program), lp_solve(program)
+        args = ([1.0, -2.0, 0.5], [[1.0, 1.0, 1.0], [-1.0, 2.0, 0.0]], [4.0, 1.0])
+        r1 = lp_solve(*args, bounds=[(0.0, 3.0)] * 3)
+        r2 = lp_solve(*args, bounds=[(0.0, 3.0)] * 3)
         assert np.array_equal(r1.x, r2.x)
         assert r1.iterations == r2.iterations
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
-            LinearProgram(c=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
+            lp_solve([1.0, 2.0], [[1.0]], [1.0])
         with pytest.raises(ValueError):
-            LinearProgram(c=[1.0], a_ub=[[1.0]], b_ub=None)
-
-    def test_format_lp_mentions_all_parts(self):
-        text = format_lp(
-            LinearProgram(c=[1.0, 0.0], a_ub=[[1.0, 2.0]], b_ub=[3.0])
-        )
-        assert "minimize" in text and "<= 3" in text and "x1" in text
+            lp_solve([1.0], [[1.0]], None)
 
 
 class TestEstimatePrecision:
@@ -176,3 +167,27 @@ class TestEstimatePrecision:
             estimate_precision(np.eye(3), 0.0)
         with pytest.raises(ValueError):
             estimate_precision(np.array([[np.inf, 0.0], [0.0, 1.0]]), 0.1)
+
+    @pytest.mark.parametrize("lam", sorted(SIMPLEX_T_HAT_BENCHMARK))
+    def test_t_hat_matches_simplex_on_benchmark(self, lam):
+        est = estimate_precision(benchmark_covariance(), lam)
+        assert est.t_hat == pytest.approx(SIMPLEX_T_HAT_BENCHMARK[lam], rel=1e-9)
+
+    def test_t_hat_matches_simplex_on_random_k30(self):
+        rng = np.random.default_rng(30)
+        m = rng.standard_normal((30, 30))
+        est = estimate_precision(m @ m.T / 30 + np.eye(30), 0.1)
+        assert est.t_hat == pytest.approx(SIMPLEX_T_HAT_RANDOM_K30, rel=1e-9)
+
+    def test_solver_failure_is_estimation_error(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(love.lp, "linprog", _failing_linprog)
+        with pytest.raises(EstimationError) as err:
+            estimate_precision(np.eye(3), 0.1)
+        assert isinstance(err.value, LPSolveError) and err.value.status == "scipy-4"
+        data = sample_dataset(benchmark_model(200, 0), 300, 1)
+        csv_path = tmp_path / "x.csv"
+        np.savetxt(csv_path, data.samples, delimiter=",")
+        argv = ["fit", "--input", str(csv_path), "--no-center", "--delta", "0.3",
+                "--out", str(tmp_path / "fit.json")]
+        assert cli_main(argv) == 2
+        assert "LP solver failed" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from love.lp import LinearProgram, lp_solve
+from love.lp import lp_solve
 from love.model import pure_set_of
 from love.moments import estimate_cross_covariance_matrix
 from love.precision import estimate_precision
@@ -25,7 +25,7 @@ def l1_projection_by_lp(beta_bar: np.ndarray, mu: float) -> tuple[float, np.ndar
     a_ub = np.vstack([a_ub, np.hstack([-np.eye(k), -np.eye(k)])])
     b_ub = np.zeros(2 * k)
     bounds = [(b - mu, b + mu) for b in beta_bar] + [(0.0, None)] * k
-    result = lp_solve(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, bounds=bounds))
+    result = lp_solve(c, a_ub, b_ub, bounds)
     assert result.status == "optimal"
     return result.value, result.x[:k]
 
