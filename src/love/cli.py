@@ -21,6 +21,7 @@ from .exceptions import EstimationError
 from .model import truth_diagnostics
 from .pipeline import RunConfig, fit_pipeline, run_simulation
 from .rows import HARD_THRESHOLD, SOFT_PROJECT
+from .tuning import default_delta_grid
 
 
 class _UsageError(Exception):
@@ -92,7 +93,12 @@ def _grid(args, config) -> Optional[np.ndarray]:
     size = _setting(args, config, "grid_size", int, None)
     if low is None and high is None and size is None:
         return None
-    return np.geomspace(low or 0.25, high or 2.5, size or 50)
+    default = default_delta_grid()
+    return np.geomspace(
+        default[0] if low is None else low,
+        default[-1] if high is None else high,
+        default.size if size is None else size,
+    )
 
 
 def _run_config(args, config: dict, center_default: bool) -> RunConfig:

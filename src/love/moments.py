@@ -19,7 +19,6 @@ from .pure import pure_loading_matrix
 
 __all__ = [
     "estimate_factor_covariance",
-    "estimate_cross_covariance",
     "estimate_cross_covariance_matrix",
 ]
 
@@ -56,18 +55,6 @@ def estimate_factor_covariance(
             value = sa @ s[np.ix_(ga, gb)] @ sb / (ga.size * gb.size)
             c_hat[a, b] = c_hat[b, a] = value
     return c_hat
-
-
-def estimate_cross_covariance(
-    sigma: Union[CovMatrix, np.ndarray], partition: PurePartition, j: int
-) -> np.ndarray:
-    """Sign-corrected group averages of Sigma entries against variable j.
-
-    Estimates C A_j for a non-pure j; requesting a pure index is an error.
-    """
-    if int(j) in set(int(i) for i in partition.pure_set):
-        raise ValueError(f"variable {j} is pure; cross moments target non-pure rows")
-    return estimate_cross_covariance_matrix(sigma, partition, np.array([j]))[:, 0]
 
 
 def estimate_cross_covariance_matrix(

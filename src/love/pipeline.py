@@ -34,10 +34,8 @@ from .rows import (
     HARD_THRESHOLD,
     SOFT_PROJECT,
     LoadingEstimate,
-    RowEstimate,
     assemble_loading,
     hard_threshold,
-    pre_estimate_rows,
     sparse_project,
 )
 from .tuning import TuningParams, cv_delta, cv_lambda
@@ -70,7 +68,6 @@ class RunConfig:
     lambda_mode: str = "recommended"  # "recommended" or "cv"
     row_method: str = SOFT_PROJECT
     center: bool = True
-    zero_tol: float = 0.0
     allow_large_p: bool = False
 
     def __post_init__(self) -> None:
@@ -106,15 +103,12 @@ def fit_from_covariance(
     delta: float,
     lam: float,
     mu: Optional[float] = None,
-    mu_scale: Optional[float] = None,
     row_method: str = SOFT_PROJECT,
-    zero_tol: float = 0.0,
 ) -> FitResult:
     """Run the estimation stages from a covariance matrix.
 
     ``mu=None`` applies the plug-in rule: the precision row-sum norm times
-    ``mu_scale`` (``delta`` when no scale is given).  Raises
-    ``EstimationError`` when no pure variables are found.
+    ``delta``.  Raises ``EstimationError`` when no pure variables are found.
     """
     partition, scan = find_pure_variables(cov, delta)
     if partition.k == 0:
@@ -124,7 +118,6 @@ def fit_from_covariance(
         )
     signed, sign_warnings = estimate_pure_rows(cov, partition)
     p = cov.p
-    non_pure = np.setdiff1d(np.arange(p), signed.pure_set)
 
     diagnostics: dict = {
         "pure_scan": scan.record(),
@@ -135,30 +128,22 @@ def fit_from_covariance(
 
     c_hat = estimate_factor_covariance(cov, signed)
     precision = None
-    non_pure_rows: dict[int, RowEstimate] = {}
-    if non_pure.size:
+    beta_hat = np.zeros((signed.k, 0))
+    if signed.pure_set.size < p:
         precision = estimate_precision(c_hat, lam)
         if mu is None:
-            mu = precision.inf1_norm * (mu_scale if mu_scale is not None else delta)
-        theta = estimate_cross_covariance_matrix(cov, signed, non_pure)
-        beta_bar = pre_estimate_rows(precision, theta)
+            mu = precision.inf1_norm * delta
+        theta = estimate_cross_covariance_matrix(cov, signed)
         project = sparse_project if row_method == SOFT_PROJECT else hard_threshold
-        beta_hat = project(beta_bar, mu)
-        for col, j in enumerate(non_pure):
-            non_pure_rows[int(j)] = RowEstimate(
-                beta_bar=beta_bar[:, col],
-                beta_hat=beta_hat[:, col],
-                method=row_method,
-                mu=mu,
-            )
+        beta_hat = project(precision.omega @ theta, mu)
         diagnostics["precision_residual"] = precision.residual
         diagnostics["precision_t_hat"] = precision.t_hat
         diagnostics["precision_inf1"] = precision.inf1_norm
     elif mu is None:
         mu = 0.0
 
-    loading = assemble_loading(signed, non_pure_rows, p, row_method)
-    clusters = clusters_from_loadings(loading, zero_tol)
+    loading = assemble_loading(signed, beta_hat, p, row_method)
+    clusters = clusters_from_loadings(loading)
     sep_hat = separation(c_hat)
     diagnostics["factor_separation_hat"] = sep_hat
     # plug-in check of the row-estimation validity condition 2*mu + 4*delta/nu < 1
@@ -209,9 +194,7 @@ def fit_pipeline(data: Dataset, config: RunConfig) -> FitResult:
         delta=delta,
         lam=lam,
         mu=config.mu,
-        mu_scale=delta,
         row_method=config.row_method,
-        zero_tol=config.zero_tol,
     )
     tuning = result.tuning
     tuning.delta_source = delta_source

@@ -22,7 +22,6 @@ from .model import PurePartition
 
 __all__ = [
     "PureScan",
-    "candidate_set",
     "find_pure_variables",
     "estimate_pure_rows",
     "pure_loading_matrix",
@@ -34,16 +33,14 @@ class PureScan:
     """Per-variable record of the detection scan.
 
     ``row_max[i]`` is the largest absolute off-diagonal entry of row i,
-    ``argmax_sets[i]`` the indices attaining it, ``candidates[i]`` the
-    2*delta candidate band, ``pure_flags[i]`` the verdict and, for rejected
-    variables, ``witness[i]`` the first candidate that failed the purity
-    check (-1 otherwise).  ``dissolved`` lists groups dropped for having a
-    single member after the merge phase.
+    ``candidates[i]`` the 2*delta candidate band, ``pure_flags[i]`` the
+    verdict and, for rejected variables, ``witness[i]`` the first candidate
+    that failed the purity check (-1 otherwise).  ``dissolved`` lists groups
+    dropped for having a single member after the merge phase.
     """
 
     delta: float
     row_max: np.ndarray
-    argmax_sets: list[np.ndarray]
     candidates: list[np.ndarray]
     pure_flags: np.ndarray
     witness: np.ndarray
@@ -64,24 +61,6 @@ class PureScan:
         }
 
 
-def _abs_off_diagonal(sigma: Union[CovMatrix, np.ndarray]) -> np.ndarray:
-    s = np.abs(cov_values(sigma))
-    np.fill_diagonal(s, -np.inf)
-    return s
-
-
-def candidate_set(sigma: Union[CovMatrix, np.ndarray], i: int, delta: float) -> np.ndarray:
-    """Indices l != i whose |Sigma_il| is within 2*delta of row i's maximum.
-
-    Always nonempty: every argmax of the row qualifies.
-    """
-    s = _abs_off_diagonal(sigma)
-    if s.shape[0] < 2:
-        raise ValueError("need at least two variables")
-    row = s[i]
-    return np.nonzero(row.max() <= row + 2.0 * delta)[0]
-
-
 def find_pure_variables(
     sigma: Union[CovMatrix, np.ndarray], delta: float
 ) -> tuple[PurePartition, PureScan]:
@@ -94,7 +73,8 @@ def find_pure_variables(
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    s = _abs_off_diagonal(sigma)
+    s = np.abs(cov_values(sigma))
+    np.fill_diagonal(s, -np.inf)
     p = s.shape[0]
     if p < 2:
         raise ValueError("need at least two variables")
@@ -105,7 +85,6 @@ def find_pure_variables(
     pure_flags = np.zeros(p, dtype=bool)
     witness = np.full(p, -1, dtype=int)
     candidates: list[np.ndarray] = []
-    argmax_sets = [np.nonzero(s[i] == row_max[i])[0] for i in range(p)]
 
     for i in range(p):
         row = s[i]
@@ -134,7 +113,6 @@ def find_pure_variables(
     scan = PureScan(
         delta=delta,
         row_max=row_max,
-        argmax_sets=argmax_sets,
         candidates=candidates,
         pure_flags=pure_flags,
         witness=witness,

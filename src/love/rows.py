@@ -2,24 +2,21 @@
 
 Each non-pure row is pre-estimated as Omega_hat @ theta_hat and then either
 projected to the l1-smallest vector within an sup-norm ball of radius mu
-(closed-form soft threshold) or hard thresholded at mu.
+(closed-form soft threshold) or hard thresholded at mu.  All non-pure rows
+are handled at once as the columns of one K x |J| matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
 
 import numpy as np
 
 from .model import PurePartition
-from .precision import PrecisionEstimate
 from .pure import pure_loading_matrix
 
 __all__ = [
-    "RowEstimate",
     "LoadingEstimate",
-    "pre_estimate_rows",
     "sparse_project",
     "hard_threshold",
     "assemble_loading",
@@ -30,16 +27,6 @@ HARD_THRESHOLD = "hard_threshold"
 
 
 @dataclass
-class RowEstimate:
-    """One non-pure row: its pre-estimate and the final sparse vector."""
-
-    beta_bar: np.ndarray
-    beta_hat: np.ndarray
-    method: str
-    mu: float
-
-
-@dataclass
 class LoadingEstimate:
     """The assembled p x K loading estimate."""
 
@@ -47,14 +34,6 @@ class LoadingEstimate:
     k_hat: int
     partition: PurePartition
     row_method: str
-
-
-def pre_estimate_rows(
-    omega: Union[PrecisionEstimate, np.ndarray], theta: np.ndarray
-) -> np.ndarray:
-    """Pre-estimate beta = Omega @ theta; columns of ``theta`` are variables."""
-    mat = omega.omega if isinstance(omega, PrecisionEstimate) else np.asarray(omega, dtype=float)
-    return mat @ theta
 
 
 def sparse_project(beta_bar: np.ndarray, mu: float) -> np.ndarray:
@@ -83,35 +62,24 @@ def hard_threshold(beta_bar: np.ndarray, mu: float) -> np.ndarray:
 
 def assemble_loading(
     partition: PurePartition,
-    non_pure_rows: Mapping[int, RowEstimate],
+    beta_hat: np.ndarray,
     p: int,
     row_method: str = SOFT_PROJECT,
 ) -> LoadingEstimate:
     """Stack the signed pure rows with the estimated non-pure rows.
 
-    Every variable in 0..p-1 must be covered exactly once, either by the
-    partition or by ``non_pure_rows``.
+    ``beta_hat`` is K x |J|: its columns are the non-pure variables in
+    ascending order, so every variable in 0..p-1 is covered exactly once.
     """
     k = partition.k
     pure_idx, pure_rows = pure_loading_matrix(partition)
-    covered = set(int(i) for i in pure_idx)
-    overlap = covered & set(int(j) for j in non_pure_rows)
-    if overlap:
-        raise ValueError(f"rows covered twice: {sorted(overlap)[:5]}")
-    missing = [j for j in range(p) if j not in covered and j not in non_pure_rows]
-    if missing:
-        raise ValueError(f"rows not covered: {missing[:5]}")
-    extra = [j for j in non_pure_rows if j < 0 or j >= p]
-    if extra:
-        raise ValueError(f"row indices out of range: {extra[:5]}")
-
+    beta_hat = np.asarray(beta_hat, dtype=float)
+    expected = (k, p - pure_idx.size)
+    if beta_hat.shape != expected:
+        raise ValueError(f"beta_hat has shape {beta_hat.shape}, expected {expected}")
     a_hat = np.zeros((p, k))
     a_hat[pure_idx] = pure_rows
-    for j, est in non_pure_rows.items():
-        beta = np.asarray(est.beta_hat, dtype=float)
-        if beta.shape != (k,):
-            raise ValueError(f"row {j} has length {beta.shape}, expected ({k},)")
-        a_hat[j] = beta
+    a_hat[np.setdiff1d(np.arange(p), pure_idx)] = beta_hat.T
     return LoadingEstimate(
         a_hat=a_hat, k_hat=k, partition=partition, row_method=row_method
     )

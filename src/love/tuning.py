@@ -4,9 +4,9 @@ The pure-variable threshold delta is chosen by split-sample cross-validation:
 one half supplies a held-out covariance, the other half is fit at each grid
 value, and the fitted pure-block covariance is scored by the off-diagonal
 Frobenius discrepancy.  The precision scale lambda defaults to the selected
-delta (a held-out likelihood search over [delta_cv, 3 delta_cv] is available),
-and the projection radius mu is the plug-in product of the estimated
-precision row-sum norm with delta_cv.
+delta (a held-out likelihood search over [delta_cv, 3 delta_cv] is available).
+The projection radius mu, the plug-in product of the estimated precision
+row-sum norm with delta_cv, is applied in ``love.pipeline.fit_from_covariance``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .covariance import CovMatrix, sample_covariance
 from .exceptions import EstimationError
 from .model import Dataset, PurePartition
 from .moments import estimate_factor_covariance
-from .precision import PrecisionEstimate, estimate_precision
+from .precision import estimate_precision
 from .pure import estimate_pure_rows, find_pure_variables, pure_loading_matrix
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "cv_criterion",
     "cv_delta",
     "cv_lambda",
-    "choose_mu",
     "likelihood_loss",
     "split_halves",
 ]
@@ -79,9 +78,6 @@ class CVDeltaResult:
     constant: float
     curve: np.ndarray
     table: list[dict]
-    cov_holdout: CovMatrix
-    cov_fit: CovMatrix
-    seed: Optional[int]
 
 
 def default_delta_grid(size: int = _GRID_SIZE) -> np.ndarray:
@@ -197,9 +193,6 @@ def cv_delta(
         constant=float(constants[best]),
         curve=curve,
         table=table,
-        cov_holdout=cov_holdout,
-        cov_fit=cov_fit,
-        seed=seed,
     )
 
 
@@ -248,25 +241,3 @@ def cv_lambda(
     if best_lam is None:
         return float(delta_cv), trace
     return best_lam, trace
-
-
-def choose_mu(
-    omega: PrecisionEstimate,
-    delta_cv: float,
-    theoretical: bool = False,
-    delta_prime: Optional[float] = None,
-) -> float:
-    """Plug-in projection radius.
-
-    Stable default: the row-sum norm of the precision estimate times
-    delta_cv.  Theoretical mode substitutes 5 * norm * delta_prime, matching
-    the rate-optimal prescription with the plug-in norm.
-    """
-    norm = omega.inf1_norm if isinstance(omega, PrecisionEstimate) else float(
-        np.abs(np.asarray(omega)).sum(axis=1).max()
-    )
-    if theoretical:
-        if delta_prime is None:
-            raise ValueError("theoretical mode needs delta_prime")
-        return 5.0 * norm * delta_prime
-    return norm * delta_cv

@@ -7,11 +7,13 @@ import pytest
 import love.pipeline
 from love import io as love_io
 from love.cli import main as cli_main
+from love.covariance import sample_covariance
 from love.exceptions import EstimationError
 from love.model import Dataset, population_covariance, sample_dataset, truth_diagnostics
 from love.evaluation import align_signed_permutation, support_sign_check
 from love.pipeline import RunConfig, fit_from_covariance, fit_pipeline, run_simulation
 from love.rows import HARD_THRESHOLD
+from love.tuning import default_delta_grid
 
 from conftest import three_factor_model
 
@@ -83,6 +85,27 @@ class TestFitFromCovariance:
         with pytest.raises(EstimationError) as err:
             fit_from_covariance(CovMatrix(values=sigma), delta=0.1, lam=0.1)
         assert "pure_scan" in err.value.diagnostics
+
+
+class TestPluginMu:
+    """mu=None resolves to the precision row-sum norm times delta."""
+
+    def test_scaled_identity(self, toy_sigma):
+        # the exact factor covariance is I, whose precision estimate is I / (1 + lam)
+        fit = fit_from_covariance(toy_sigma, delta=0.1, lam=0.25)
+        assert fit.tuning.mu == pytest.approx(0.1 / 1.25)
+
+    def test_row_sum_times_delta(self, toy_model):
+        data = sample_dataset(toy_model, 3000, seed=12)
+        cov = sample_covariance(data, center=False)
+        fit = fit_from_covariance(cov, delta=0.05, lam=0.05, mu=None)
+        assert fit.tuning.mu == fit.precision.inf1_norm * 0.05
+
+    def test_fit_pipeline_uses_plugin_rule(self, toy_model):
+        data = sample_dataset(toy_model, 3000, seed=13)
+        fit = fit_pipeline(data, RunConfig(delta=0.05, lam=0.02, center=False))
+        assert fit.tuning.mu_source == "plugin"
+        assert fit.tuning.mu == fit.precision.inf1_norm * 0.05
 
 
 class TestFitPipeline:
@@ -325,6 +348,29 @@ class TestCli:
         assert code == 0
         payload = love_io.read_json(fit_path)
         assert payload["tuning"]["delta"] == 0.2  # flag wins over config
+
+    def _fit_grid(self, tmp_path, grid_flags):
+        csv_path = tmp_path / "data.csv"
+        self._write_toy_csv(csv_path, n=2000, seed=17)
+        fit_path = tmp_path / "fit.json"
+        args = ["fit", "--input", str(csv_path), "--no-center", "--out", str(fit_path)]
+        assert cli_main(args + grid_flags) == 0
+        return love_io.read_json(fit_path)["tuning"]["delta_grid"]
+
+    def test_grid_size_alone_uses_default_bracket(self, tmp_path):
+        grid = self._fit_grid(tmp_path, ["--grid-size", "5"])
+        assert grid == default_delta_grid(5).tolist()
+
+    def test_grid_max_alone_keeps_default_start(self, tmp_path):
+        grid = self._fit_grid(tmp_path, ["--grid-max", "3.0"])
+        assert grid[0] == 1.8 and grid[-1] == 3.0
+        assert len(grid) == default_delta_grid().size
+
+    def test_grid_min_zero_is_not_replaced(self, tmp_path):
+        csv_path = tmp_path / "data.csv"
+        self._write_toy_csv(csv_path, n=100, seed=18)
+        args = ["fit", "--input", str(csv_path), "--grid-min", "0", "--out", str(tmp_path / "f.json")]
+        assert cli_main(args) == 1
 
     def test_usage_errors_exit_one(self, capsys):
         assert cli_main(["frobnicate"]) == 1

@@ -3,7 +3,7 @@ import pytest
 
 from love.covariance import sample_covariance
 from love.model import FactorModel, population_covariance, pure_set_of, sample_dataset, truth_diagnostics
-from love.pure import candidate_set, estimate_pure_rows, find_pure_variables, pure_loading_matrix
+from love.pure import estimate_pure_rows, find_pure_variables, pure_loading_matrix
 
 
 def naive_candidates(sigma: np.ndarray, i: int, delta: float) -> list[int]:
@@ -13,6 +13,11 @@ def naive_candidates(sigma: np.ndarray, i: int, delta: float) -> list[int]:
     return [
         l for l in range(p) if l != i and row_max <= abs(sigma[i, l]) + 2 * delta
     ]
+
+
+def scan_candidates(sigma, i: int, delta: float) -> np.ndarray:
+    """Candidate band of variable i as recorded by the detection scan."""
+    return find_pure_variables(sigma, delta)[1].candidates[i]
 
 
 def random_symmetric(p: int, seed: int) -> np.ndarray:
@@ -27,24 +32,24 @@ class TestCandidateSet:
         for seed in range(5):
             sigma = random_symmetric(12, seed)
             for i in range(12):
-                got = candidate_set(sigma, i, delta).tolist()
+                got = scan_candidates(sigma, i, delta).tolist()
                 assert got == naive_candidates(sigma, i, delta), (seed, i, delta)
 
     def test_two_variable_case(self):
         model = FactorModel(A=[[1.0], [1.0]], C=[[2.0]], Gamma=[1.0, 1.0])
         sigma = population_covariance(model)
-        assert candidate_set(sigma, 0, 0.5).tolist() == [1]
+        assert scan_candidates(sigma, 0, 0.5).tolist() == [1]
 
     def test_toy_pure_row(self, toy_sigma):
-        assert candidate_set(toy_sigma, 0, 0.01).tolist() == [1]
+        assert scan_candidates(toy_sigma, 0, 0.01).tolist() == [1]
 
     def test_toy_mixed_row_has_two_argmaxes(self, toy_sigma):
-        assert candidate_set(toy_sigma, 6, 0.01).tolist() == [2, 3]
+        assert scan_candidates(toy_sigma, 6, 0.01).tolist() == [2, 3]
 
     def test_never_empty(self):
         sigma = random_symmetric(8, 99)
         for i in range(8):
-            assert candidate_set(sigma, i, 0.0).size >= 1
+            assert scan_candidates(sigma, i, 0.0).size >= 1
 
 
 class TestFindPureVariables:
@@ -145,13 +150,14 @@ class TestFindPureVariables:
         assert verdicts[7]["pure"] is False
         assert verdicts[7]["witness"] in (3, 4)
 
-    def test_scan_candidates_contain_argmax_sets(self, toy_sigma):
+    def test_scan_candidates_contain_row_argmaxes(self, toy_sigma):
         _, scan = find_pure_variables(toy_sigma, 0.05)
         s = np.abs(toy_sigma.values).copy()
         np.fill_diagonal(s, -np.inf)
         for i in range(8):
-            assert set(scan.argmax_sets[i]) <= set(scan.candidates[i])
-            assert scan.row_max[i] == s[i, scan.argmax_sets[i]].max()
+            argmaxes = np.nonzero(s[i] == s[i].max())[0]
+            assert set(argmaxes) <= set(scan.candidates[i])
+            assert scan.row_max[i] == s[i].max()
 
     def test_noise_containment_on_sampled_runs(self, design_model):
         # with delta under the separation condition, each recovered group

@@ -8,11 +8,8 @@ from love.precision import estimate_precision
 from love.pure import estimate_pure_rows, find_pure_variables
 from love.rows import (
     HARD_THRESHOLD,
-    SOFT_PROJECT,
-    RowEstimate,
     assemble_loading,
     hard_threshold,
-    pre_estimate_rows,
     sparse_project,
 )
 
@@ -105,97 +102,88 @@ class TestHardThreshold:
         assert np.abs(got).sum() > 1.0
 
 
+def signed_partition(sigma):
+    partition, _ = find_pure_variables(sigma, 1e-6)
+    signed, _ = estimate_pure_rows(sigma, partition)
+    return signed
+
+
 class TestPreEstimate:
-    def test_identity_precision(self):
-        theta = np.array([0.4, 0.6, 0.0])
-        assert np.array_equal(pre_estimate_rows(np.eye(3), theta), theta)
+    """The pre-estimate Omega_hat @ theta_hat, one column per non-pure row."""
+
+    def test_identity_precision(self, toy_sigma):
+        # with Omega = I and mu = 0 the fitted rows are the cross moments
+        signed = signed_partition(toy_sigma)
+        theta = estimate_cross_covariance_matrix(toy_sigma, signed)
+        loading = assemble_loading(signed, sparse_project(np.eye(3) @ theta, 0.0), 8)
+        assert np.array_equal(loading.a_hat[6:], theta.T)
 
     def test_exact_inverse_recovers_row(self, design_model, design_sigma):
         truth = pure_set_of(design_model.A)
         theta = estimate_cross_covariance_matrix(design_sigma, truth)
-        beta_bar = pre_estimate_rows(np.linalg.inv(design_model.C), theta)
+        beta_bar = np.linalg.inv(design_model.C) @ theta
         assert np.abs(beta_bar - design_model.A[100:].T).max() < 1e-10
 
     def test_toy_population_pre_estimate(self, toy_model, toy_sigma):
         truth = pure_set_of(toy_model.A)
-        c_hat = np.eye(3)
-        omega = estimate_precision(c_hat, 1e-8)
-        theta = estimate_cross_covariance_matrix(toy_sigma, truth, np.array([6]))
-        beta_bar = pre_estimate_rows(omega, theta)[:, 0]
-        assert np.abs(beta_bar - [0.4, 0.6, 0.0]).max() < 1e-4
+        omega = estimate_precision(np.eye(3), 1e-8)
+        theta = estimate_cross_covariance_matrix(toy_sigma, truth)
+        beta_bar = omega.omega @ theta
+        assert np.abs(beta_bar[:, 0] - [0.4, 0.6, 0.0]).max() < 1e-4
+        assert np.abs(beta_bar[:, 1] - [-0.5, 0.0, 0.4]).max() < 1e-4
 
 
 class TestAssembleLoading:
-    def _signed_partition(self, sigma):
-        partition, _ = find_pure_variables(sigma, 1e-6)
-        signed, _ = estimate_pure_rows(sigma, partition)
-        return signed
-
     def test_all_pure_rows(self, design_sigma):
-        signed = self._signed_partition(design_sigma)
-        only_pure = {
-            int(j): RowEstimate(
-                beta_bar=np.zeros(20), beta_hat=np.zeros(20), method=SOFT_PROJECT, mu=0.0
-            )
-            for j in range(100, 200)
-        }
-        loading = assemble_loading(signed, only_pure, 200)
+        signed = signed_partition(design_sigma)
+        loading = assemble_loading(signed, np.zeros((20, 100)), 200)
         pure_rows = loading.a_hat[:100]
         assert (np.abs(pure_rows).sum(axis=1) == 1.0).all()
 
+    def test_columns_fill_non_pure_rows_ascending(self, toy_sigma):
+        signed = signed_partition(toy_sigma)
+        beta_hat = np.array([[0.1, 0.4], [0.2, 0.5], [0.3, 0.6]])
+        loading = assemble_loading(signed, beta_hat, 8)
+        assert np.array_equal(loading.a_hat[6:], beta_hat.T)
+
     def test_missing_row_rejected(self, toy_sigma):
-        signed = self._signed_partition(toy_sigma)
-        with pytest.raises(ValueError, match="not covered"):
-            assemble_loading(signed, {}, 8)
+        signed = signed_partition(toy_sigma)
+        with pytest.raises(ValueError, match="shape"):
+            assemble_loading(signed, np.zeros((3, 1)), 8)
 
     def test_duplicate_row_rejected(self, toy_sigma):
-        signed = self._signed_partition(toy_sigma)
-        rows = {
-            int(j): RowEstimate(np.zeros(3), np.zeros(3), SOFT_PROJECT, 0.0)
-            for j in (0, 6, 7)
-        }
-        with pytest.raises(ValueError, match="twice"):
-            assemble_loading(signed, rows, 8)
+        # one column more than there are non-pure rows
+        signed = signed_partition(toy_sigma)
+        with pytest.raises(ValueError, match="shape"):
+            assemble_loading(signed, np.zeros((3, 3)), 8)
+
+    def test_wrong_factor_count_rejected(self, toy_sigma):
+        signed = signed_partition(toy_sigma)
+        with pytest.raises(ValueError, match="shape"):
+            assemble_loading(signed, np.zeros((2, 2)), 8)
 
     def test_toy_population_end_to_end(self, toy_model, toy_sigma):
-        signed = self._signed_partition(toy_sigma)
+        signed = signed_partition(toy_sigma)
         from love.moments import estimate_factor_covariance
         from love.evaluation import lq_loss
 
         c_hat = estimate_factor_covariance(toy_sigma, signed)
         omega = estimate_precision(c_hat, 1e-8)
         theta = estimate_cross_covariance_matrix(toy_sigma, signed)
-        beta_bar = pre_estimate_rows(omega, theta)
         mu = 1e-3
-        rows = {}
-        for col, j in enumerate((6, 7)):
-            rows[j] = RowEstimate(
-                beta_bar=beta_bar[:, col],
-                beta_hat=sparse_project(beta_bar[:, col], mu),
-                method=SOFT_PROJECT,
-                mu=mu,
-            )
-        loading = assemble_loading(signed, rows, 8)
+        loading = assemble_loading(signed, sparse_project(omega.omega @ theta, mu), 8)
         loss = lq_loss(loading.a_hat, toy_model.A, np.inf)
         assert loss <= mu + 1e-4
 
     def test_zero_theta_row_lands_in_noise_cluster(self, toy_sigma):
         from love.clusters import clusters_from_loadings
 
-        signed = self._signed_partition(toy_sigma)
-        rows = {
-            6: RowEstimate(np.zeros(3), np.zeros(3), SOFT_PROJECT, 0.1),
-            7: RowEstimate(np.zeros(3), np.zeros(3), SOFT_PROJECT, 0.1),
-        }
-        loading = assemble_loading(signed, rows, 8)
+        signed = signed_partition(toy_sigma)
+        loading = assemble_loading(signed, np.zeros((3, 2)), 8)
         clusters = clusters_from_loadings(loading)
         assert set(clusters.noise.tolist()) == {6, 7}
 
     def test_hard_threshold_method_recorded(self, toy_sigma):
-        signed = self._signed_partition(toy_sigma)
-        rows = {
-            j: RowEstimate(np.zeros(3), np.zeros(3), HARD_THRESHOLD, 0.1)
-            for j in (6, 7)
-        }
-        loading = assemble_loading(signed, rows, 8, row_method=HARD_THRESHOLD)
+        signed = signed_partition(toy_sigma)
+        loading = assemble_loading(signed, np.zeros((3, 2)), 8, row_method=HARD_THRESHOLD)
         assert loading.row_method == HARD_THRESHOLD

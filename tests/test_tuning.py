@@ -9,7 +9,6 @@ from love.model import Dataset, PurePartition, pure_set_of, sample_dataset, benc
 from love.moments import estimate_factor_covariance
 from love.pure import estimate_pure_rows, find_pure_variables, pure_loading_matrix
 from love.tuning import (
-    choose_mu,
     cv_criterion,
     cv_delta,
     cv_lambda,
@@ -18,7 +17,6 @@ from love.tuning import (
     likelihood_loss,
     split_halves,
 )
-from love.precision import estimate_precision
 
 
 def contaminated_partition(sigma) -> PurePartition:
@@ -126,7 +124,6 @@ class TestCvDelta:
             return empty, PureScan(
                 delta=delta,
                 row_max=np.zeros(200),
-                argmax_sets=[],
                 candidates=[],
                 pure_flags=np.zeros(200, dtype=bool),
                 witness=np.full(200, -1),
@@ -202,24 +199,6 @@ class TestLikelihoodLoss:
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ValueError):
             likelihood_loss(np.diag([1.0, -1.0]), np.eye(2))
-
-
-class TestChooseMu:
-    def test_scaled_identity(self):
-        est = estimate_precision(np.eye(5), 0.25)
-        assert choose_mu(est, 0.1) == pytest.approx(0.1 / 1.25)
-
-    def test_row_sum_times_delta(self):
-        omega = np.array([[2.0, -1.2], [0.0, 0.5]])
-        assert choose_mu(omega, 0.05) == pytest.approx(3.2 * 0.05)
-
-    def test_theoretical_mode(self):
-        est = estimate_precision(np.eye(3), 0.5)
-        assert choose_mu(est, 0.1, theoretical=True, delta_prime=0.02) == pytest.approx(
-            5.0 * (1.0 / 1.5) * 0.02
-        )
-        with pytest.raises(ValueError):
-            choose_mu(est, 0.1, theoretical=True)
 
 
 def test_default_grid_and_rate():
