@@ -49,16 +49,16 @@ def load_csv(path: Union[str, Path], has_header: bool = False) -> Dataset:
     """
     path = Path(path)
     names: Optional[list[str]] = None
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     width: Optional[int] = None
     with path.open() as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            cells = [cell.strip() for cell in line.split(",")]
+            cells = line.split(",")
             if has_header and names is None:
-                names = cells
+                names = [cell.strip() for cell in cells]
                 width = len(cells)
                 continue
             if width is None:
@@ -67,15 +67,18 @@ def load_csv(path: Union[str, Path], has_header: bool = False) -> Dataset:
                 raise CSVParseError(
                     f"{path}: row {lineno} has {len(cells)} cells, expected {width}"
                 )
-            parsed = []
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError as exc:
-                    raise CSVParseError(
-                        f"{path}: row {lineno}, column {col}: not a number: {cell!r}"
-                    ) from exc
-            rows.append(parsed)
+            try:
+                # numpy parses each cell as float() does, surrounding blanks included
+                rows.append(np.array(cells, dtype=float))
+            except ValueError:
+                for col, cell in enumerate(cells, start=1):
+                    try:
+                        float(cell)
+                    except ValueError as exc:
+                        raise CSVParseError(
+                            f"{path}: row {lineno}, column {col}: not a number: {cell.strip()!r}"
+                        ) from exc
+                raise
     if not rows:
         raise CSVParseError(f"{path}: no data rows")
     return Dataset(samples=np.array(rows, dtype=float), column_names=names)

@@ -108,8 +108,11 @@ def fit_from_covariance(
     """Run the estimation stages from a covariance matrix.
 
     ``mu=None`` applies the plug-in rule: the precision row-sum norm times
-    ``delta``.  Raises ``EstimationError`` when no pure variables are found.
+    ``delta``.  Raises ``EstimationError`` when no pure variables are found
+    and ``ValueError`` on an unknown ``row_method``.
     """
+    if row_method not in (SOFT_PROJECT, HARD_THRESHOLD):
+        raise ValueError(f"unknown row method {row_method!r}")
     partition, scan = find_pure_variables(cov, delta)
     if partition.k == 0:
         raise EstimationError(

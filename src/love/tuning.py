@@ -22,7 +22,7 @@ from .exceptions import EstimationError
 from .model import Dataset, PurePartition
 from .moments import estimate_factor_covariance
 from .precision import estimate_precision
-from .pure import estimate_pure_rows, find_pure_variables, pure_loading_matrix
+from .pure import estimate_pure_rows, pure_loading_matrix, scan_delta_grid
 
 __all__ = [
     "TuningParams",
@@ -129,8 +129,7 @@ def cv_criterion(
     return float(np.linalg.norm(diff) / math.sqrt(size * (size - 1)))
 
 
-def _score_direction(cov_fit, cov_holdout, delta: float) -> tuple[float, int, int]:
-    partition, _ = find_pure_variables(cov_fit, delta)
+def _score_partition(cov_fit, cov_holdout, partition: PurePartition) -> tuple[float, int, int]:
     if partition.k == 0:
         return math.inf, 0, 0
     signed, _ = estimate_pure_rows(cov_fit, partition)
@@ -151,14 +150,15 @@ def cv_delta(
 
     The detection pipeline runs on the second half's covariance at each
     delta = c * sqrt(log(max(p, n)) / n) and is scored against the first
-    half's covariance.  With ``symmetric=True`` (default) the same criterion
-    is also evaluated with the halves swapped and the two values averaged,
-    which halves the selection variance of an otherwise noisy curve.  The
-    smallest constant whose value is within ``tie_tolerance`` (relative) of
-    the minimum wins, the usual parsimony rule for flat curves; set it to 0
-    for the strict minimizer.  Grid points with no usable partition score
-    +inf; if every point does, an ``EstimationError`` carrying the trace
-    asks for a wider grid.
+    half's covariance; one ``scan_delta_grid`` pass per half yields the
+    partitions at every grid point.  With ``symmetric=True`` (default) the
+    same criterion is also evaluated with the halves swapped and the two
+    values averaged, which halves the selection variance of an otherwise
+    noisy curve.  The smallest constant whose value is within
+    ``tie_tolerance`` (relative) of the minimum wins, the usual parsimony
+    rule for flat curves; set it to 0 for the strict minimizer.  Grid points
+    with no usable partition score +inf; if every point does, an
+    ``EstimationError`` carrying the trace asks for a wider grid.
     """
     constants = default_delta_grid() if grid_constants is None else np.asarray(grid_constants, dtype=float)
     if constants.size == 0:
@@ -167,14 +167,17 @@ def cv_delta(
     cov_holdout = sample_covariance(half1, center=center)
     cov_fit = sample_covariance(half2, center=center)
     rate = delta_rate(data.n, data.p)
+    deltas = constants * rate
+    fit_partitions = scan_delta_grid(cov_fit, deltas)
+    holdout_partitions = scan_delta_grid(cov_holdout, deltas) if symmetric else None
 
     curve = np.empty(constants.size)
     table = []
     for idx, c in enumerate(constants):
-        delta = float(c * rate)
-        value, k_hat, i_size = _score_direction(cov_fit, cov_holdout, delta)
+        delta = float(deltas[idx])
+        value, k_hat, i_size = _score_partition(cov_fit, cov_holdout, fit_partitions[idx])
         if symmetric:
-            mirrored, _, _ = _score_direction(cov_holdout, cov_fit, delta)
+            mirrored, _, _ = _score_partition(cov_holdout, cov_fit, holdout_partitions[idx])
             value = 0.5 * (value + mirrored)
         curve[idx] = value
         table.append(

@@ -47,6 +47,10 @@ class TestFitFromCovariance:
             hard.strong_support_contained,
         )
 
+    def test_unknown_row_method_rejected(self, toy_sigma):
+        with pytest.raises(ValueError, match="row method"):
+            fit_from_covariance(toy_sigma, delta=1e-6, lam=1e-8, mu=0.05, row_method="soft")
+
     def test_population_exactness_on_random_models(self):
         # exact covariance plus vanishing tunings recovers any valid model
         from love.model import FactorModel
@@ -259,6 +263,13 @@ class TestLoadCsv:
         path.write_text("1,2\n3\n")
         with pytest.raises(love_io.CSVParseError, match="row 2"):
             love_io.load_csv(path)
+
+    def test_whitespace_padded_cells(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(" g1 ,\tg2\n 1.5 , -2\n3\t,  4e-1 \n")
+        data = love_io.load_csv(path, has_header=True)
+        assert data.column_names == ["g1", "g2"]
+        assert np.array_equal(data.samples, [[1.5, -2.0], [3.0, 0.4]])
 
     def test_non_numeric_cell_reports_location(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -3,7 +3,7 @@ import pytest
 
 from love.covariance import sample_covariance
 from love.model import FactorModel, population_covariance, pure_set_of, sample_dataset, truth_diagnostics
-from love.pure import estimate_pure_rows, find_pure_variables, pure_loading_matrix
+from love.pure import estimate_pure_rows, find_pure_variables, pure_loading_matrix, scan_delta_grid
 
 
 def naive_candidates(sigma: np.ndarray, i: int, delta: float) -> list[int]:
@@ -15,9 +15,44 @@ def naive_candidates(sigma: np.ndarray, i: int, delta: float) -> list[int]:
     ]
 
 
-def scan_candidates(sigma, i: int, delta: float) -> np.ndarray:
-    """Candidate band of variable i as recorded by the detection scan."""
-    return find_pure_variables(sigma, delta)[1].candidates[i]
+def naive_scan(sigma, delta: float):
+    """Literal transcription of the single-delta scan: verdict, witness, merge.
+
+    Returns ``(kept, dissolved, pure_flags, witness)`` with groups as sorted
+    lists, scanning the variables in ascending order and intersecting each
+    accepted set into the first group it overlaps.
+    """
+    s = np.asarray(getattr(sigma, "values", sigma), dtype=float)
+    p = s.shape[0]
+    row_max = [max(abs(s[i, j]) for j in range(p) if j != i) for i in range(p)]
+    groups: list[set] = []
+    flags, witness = [], []
+    for i in range(p):
+        cand = naive_candidates(s, i, delta)
+        bad = [l for l in cand if abs(abs(s[i, l]) - row_max[l]) > 2 * delta]
+        flags.append(not bad)
+        witness.append(bad[0] if bad else -1)
+        if bad:
+            continue
+        new_set = set(cand) | {i}
+        for a, g in enumerate(groups):
+            if g & new_set:
+                groups[a] = g & new_set
+                break
+        else:
+            groups.append(new_set)
+    kept = [sorted(g) for g in groups if len(g) >= 2]
+    dissolved = [sorted(g) for g in groups if len(g) < 2]
+    return kept, dissolved, flags, witness
+
+
+def assert_scan_matches_oracle(sigma, delta: float) -> None:
+    partition, scan = find_pure_variables(sigma, delta)
+    kept, dissolved, flags, witness = naive_scan(sigma, delta)
+    assert [g.tolist() for g in partition.groups] == kept
+    assert [g.tolist() for g in scan.dissolved] == dissolved
+    assert scan.pure_flags.tolist() == flags
+    assert scan.witness.tolist() == witness
 
 
 def random_symmetric(p: int, seed: int) -> np.ndarray:
@@ -26,30 +61,152 @@ def random_symmetric(p: int, seed: int) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def group_of(partition, i: int) -> list[int]:
+    return next(g.tolist() for g in partition.groups if i in g)
+
+
 class TestCandidateSet:
+    """The candidate band, seen through the scan's verdicts and witnesses."""
+
     @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
     def test_matches_naive_enumeration(self, delta):
         for seed in range(5):
-            sigma = random_symmetric(12, seed)
-            for i in range(12):
-                got = scan_candidates(sigma, i, delta).tolist()
-                assert got == naive_candidates(sigma, i, delta), (seed, i, delta)
+            assert_scan_matches_oracle(random_symmetric(12, seed), delta)
 
     def test_two_variable_case(self):
         model = FactorModel(A=[[1.0], [1.0]], C=[[2.0]], Gamma=[1.0, 1.0])
         sigma = population_covariance(model)
-        assert scan_candidates(sigma, 0, 0.5).tolist() == [1]
+        assert naive_candidates(sigma.values, 0, 0.5) == [1]
+        partition, scan = find_pure_variables(sigma, 0.5)
+        assert scan.pure_flags.tolist() == [True, True]
+        assert [g.tolist() for g in partition.groups] == [[0, 1]]
 
     def test_toy_pure_row(self, toy_sigma):
-        assert scan_candidates(toy_sigma, 0, 0.01).tolist() == [1]
+        assert naive_candidates(toy_sigma.values, 0, 0.01) == [1]
+        partition, scan = find_pure_variables(toy_sigma, 0.01)
+        assert scan.pure_flags[0]
+        assert group_of(partition, 0) == [0, 1]
 
     def test_toy_mixed_row_has_two_argmaxes(self, toy_sigma):
-        assert scan_candidates(toy_sigma, 6, 0.01).tolist() == [2, 3]
+        assert naive_candidates(toy_sigma.values, 6, 0.01) == [2, 3]
+        _, scan = find_pure_variables(toy_sigma, 0.01)
+        assert not scan.pure_flags[6]
+        assert scan.witness[6] == naive_scan(toy_sigma, 0.01)[3][6]
 
     def test_never_empty(self):
         sigma = random_symmetric(8, 99)
         for i in range(8):
-            assert scan_candidates(sigma, i, 0.0).size >= 1
+            assert len(naive_candidates(sigma, i, 0.0)) >= 1
+        assert_scan_matches_oracle(sigma, 0.0)
+        # every rejection names a candidate
+        _, scan = find_pure_variables(sigma, 0.0)
+        assert (scan.witness[~scan.pure_flags] >= 0).all()
+
+
+class TestScanDeltaGrid:
+    """The whole-grid pass against the naive single-delta oracle."""
+
+    @staticmethod
+    def assert_grid_matches_oracle(sigma, deltas) -> None:
+        partitions = scan_delta_grid(sigma, np.asarray(deltas))
+        assert len(partitions) == len(deltas)
+        for delta, partition in zip(deltas, partitions):
+            assert partition.signs is None
+            got = [g.tolist() for g in partition.groups]
+            assert got == naive_scan(sigma, float(delta))[0], delta
+
+    def test_random_matrices_unsorted_grid(self):
+        rng = np.random.default_rng(3)
+        grid = rng.permutation([0.0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.5])
+        for seed in range(6):
+            for p in (12, 25):
+                self.assert_grid_matches_oracle(random_symmetric(p, seed), grid)
+
+    def test_coarse_valued_matrices_with_ties(self):
+        # entries on a 1/4 lattice, so many pairs sit exactly on a 2*delta edge
+        rng = np.random.default_rng(8)
+        for _ in range(6):
+            m = rng.integers(-4, 5, size=(15, 15)) / 4.0
+            self.assert_grid_matches_oracle(0.5 * (m + m.T), [0.0, 0.125, 0.25, 0.375, 0.5])
+
+    def test_design_covariance(self, design_model, design_sigma):
+        grid = [0.3, 0.01, 0.1, 0.05, 0.2]
+        self.assert_grid_matches_oracle(design_sigma, grid)
+        sample = sample_covariance(sample_dataset(design_model, 300, seed=12), center=True)
+        self.assert_grid_matches_oracle(sample, grid)
+
+    def test_duplicated_grid_values(self):
+        sigma = random_symmetric(20, 4)
+        grid = [0.3, 0.05, 0.3, 0.05, 0.1]
+        self.assert_grid_matches_oracle(sigma, grid)
+        partitions = scan_delta_grid(sigma, np.array(grid))
+        assert [g.tolist() for g in partitions[0].groups] == [
+            g.tolist() for g in partitions[2].groups
+        ]
+
+    def test_one_point_grid(self, toy_sigma):
+        self.assert_grid_matches_oracle(toy_sigma, [0.01])
+        (partition,) = scan_delta_grid(toy_sigma, np.array([0.01]))
+        assert [g.tolist() for g in partition.groups] == [[0, 1], [2, 3], [4, 5]]
+
+    def test_tie_at_exactly_two_delta(self):
+        # the matrix of test_tie_at_exactly_two_delta_counts_as_pure: at
+        # delta = 0.125 row 0 is pure and the merge dissolves everything; at
+        # 0.12 row 0 is rejected and {1, 2} survives
+        sigma = np.array(
+            [
+                [1.0, 0.5, 0.0],
+                [0.5, 1.0, 0.75],
+                [0.0, 0.75, 1.0],
+            ]
+        )
+        self.assert_grid_matches_oracle(sigma, [0.125, 0.12])
+        tie, tight = scan_delta_grid(sigma, np.array([0.125, 0.12]))
+        assert tie.groups == []
+        assert [g.tolist() for g in tight.groups] == [[1, 2]]
+
+    @pytest.mark.parametrize(
+        "s01, m, delta, candidates",
+        [
+            # 0.1 + 0.2 rounds up to m while m - 0.1 rounds above 0.2
+            (0.1, 0.1 + 0.2, 0.1, [1, 2]),
+            # 0.18 + 0.5 rounds below m = 0.68 while m - 0.18 rounds to 0.5
+            (0.18, 0.68, 0.25, [2]),
+        ],
+    )
+    def test_candidate_test_is_the_scans_own_sum(self, s01, m, delta, candidates):
+        # m <= s + 2*delta and m - s <= 2*delta disagree in floating point
+        # here; the scan follows the first, as the definition reads.  Row 1
+        # peaks at 0.9, far from s01, so variable 0 is rejected exactly when
+        # 1 is its candidate.
+        assert (m <= s01 + 2 * delta) != (m - s01 <= 2 * delta)
+        sigma = np.array(
+            [
+                [1.0, s01, m, 0.0],
+                [s01, 1.0, 0.05, 0.9],
+                [m, 0.05, 1.0, 0.05],
+                [0.0, 0.9, 0.05, 1.0],
+            ]
+        )
+        assert naive_candidates(sigma, 0, delta) == candidates
+        _, scan = find_pure_variables(sigma, delta)
+        assert scan.pure_flags[0] == (1 not in candidates)
+        assert_scan_matches_oracle(sigma, delta)
+        self.assert_grid_matches_oracle(sigma, [delta, 0.9 * delta, 1.1 * delta])
+
+    def test_rejects_bad_grids(self, toy_sigma):
+        with pytest.raises(ValueError):
+            scan_delta_grid(toy_sigma, np.array([]))
+        with pytest.raises(ValueError):
+            scan_delta_grid(toy_sigma, np.array([0.1, -0.1]))
+
+    def test_rejects_non_finite_entries(self):
+        sigma = random_symmetric(6, 1)
+        sigma[2, 4] = sigma[4, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            scan_delta_grid(sigma, np.array([0.1]))
+        with pytest.raises(ValueError, match="finite"):
+            find_pure_variables(sigma, 0.1)
 
 
 class TestFindPureVariables:
@@ -156,8 +313,9 @@ class TestFindPureVariables:
         np.fill_diagonal(s, -np.inf)
         for i in range(8):
             argmaxes = np.nonzero(s[i] == s[i].max())[0]
-            assert set(argmaxes) <= set(scan.candidates[i])
+            assert set(argmaxes) <= set(naive_candidates(toy_sigma.values, i, 0.05))
             assert scan.row_max[i] == s[i].max()
+        assert_scan_matches_oracle(toy_sigma, 0.05)
 
     def test_noise_containment_on_sampled_runs(self, design_model):
         # with delta under the separation condition, each recovered group

@@ -19,6 +19,25 @@ from love.tuning import (
 )
 
 
+#: cv_delta curve on benchmark_model(200, 31), n = 300 (data seed 32), split
+#: seed 33, centered, default grid; selected constant 1.952805471695823.
+RECORDED_CV_CURVE = [
+    0.4504643676981534, 0.4479369042232522, 0.44632951472022925, 0.4392776760062907,
+    0.43716648121285456, 0.43264797398678234, 0.432199932036059, 0.4320767941308945,
+    0.4341224947955831, 0.4330930963532954, 0.43106116171472164, 0.43348148059715774,
+    0.4329149393224744, 0.43138539586707114, 0.4312099444749176, 0.4377463716547475,
+    0.4365852874577833, 0.43557744565117107, 0.43557744565117107, 0.4354622205802893,
+    0.43721341996876334, 0.4379951909639738, 0.4379951909639738, 0.43537550405255143,
+    0.43711307346816913, 0.4362181268732564, 0.438490409505468, 0.4385165129450479,
+    0.43450392418491524, 0.43200145939310053, 0.43200145939310053, 0.43170281746275074,
+    0.43150814687558753, 0.43150814687558753, 0.428342869120648, 0.428342869120648,
+    0.428342869120648, 0.428712873651784, 0.42850378071424733, 0.43303920928560724,
+    0.43176258047753846, 0.43228833127607047, 0.43228833127607047, 0.43228833127607047,
+    0.4319355863770399, 0.4319355863770399, 0.4324078590739621, 0.43325664017208165,
+    0.43325664017208165, 0.43325664017208165,
+]
+
+
 def contaminated_partition(sigma) -> PurePartition:
     """The true toy partition with the first mixed variable glued onto group 3."""
     base = PurePartition(
@@ -116,22 +135,21 @@ class TestCvDelta:
 
     def test_all_grid_points_invalid_raises(self, design_model, monkeypatch):
         data = sample_dataset(design_model, 100, seed=4)
-        empty = PurePartition(groups=[])
 
-        def no_pure(cov, delta):
-            from love.pure import PureScan
+        def no_pure(cov, deltas):
+            return [PurePartition(groups=[]) for _ in deltas]
 
-            return empty, PureScan(
-                delta=delta,
-                row_max=np.zeros(200),
-                candidates=[],
-                pure_flags=np.zeros(200, dtype=bool),
-                witness=np.full(200, -1),
-            )
-
-        monkeypatch.setattr(love.tuning, "find_pure_variables", no_pure)
+        monkeypatch.setattr(love.tuning, "scan_delta_grid", no_pure)
         with pytest.raises(EstimationError, match="widen"):
             cv_delta(data, seed=0)
+
+    def test_curve_and_selection_unchanged(self):
+        # recorded from the per-delta scan that the one-pass grid scan replaced
+        data = sample_dataset(benchmark_model(200, 31), 300, seed=32)
+        result = cv_delta(data, seed=33, center=True)
+        assert result.delta == 0.26926495485312074
+        assert result.constant == 1.952805471695823
+        np.testing.assert_allclose(result.curve, RECORDED_CV_CURVE, rtol=1e-12, atol=0)
 
     def test_trace_table_columns(self, design_model):
         data = sample_dataset(design_model, 300, seed=5)
