@@ -13,10 +13,14 @@ from .exceptions import EstimationError
 
 __all__ = ["LPResult", "LPSolveError", "lp_solve"]
 
-# Interior point with crossover, which ends at a vertex as a simplex would.
-# Not the dual simplex ("highs"): on four K = 40 precision LPs (2-vCPU Xeon VM)
-# it took 27-50 s and 30k-43k iterations, this 1.2-1.4 s for the same optimum.
-_METHOD = "highs-ipm"
+# Dual simplex without presolve.  The precision estimator solves K row
+# programs of 2K + 1 variables each (see ``love.precision``), small and dense,
+# where presolve removes nothing.  For all 40 rows of three K = 40 estimates
+# from the benchmark design (2-vCPU Xeon VM): 0.14-0.20 s as set here,
+# 0.28-0.31 s with presolve, 0.30-0.59 s by interior point with crossover
+# ("highs-ipm"); the row optima agreed to 1e-15.
+_METHOD = "highs-ds"
+_OPTIONS = {"presolve": False}
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
@@ -45,7 +49,8 @@ def lp_solve(c, a_ub=None, b_ub=None, bounds=(0.0, None)) -> LPResult:
     Any other solver outcome (iteration limit, numerical trouble) raises
     ``LPSolveError``.  Malformed shapes raise scipy's ``ValueError``.
     """
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method=_METHOD)
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method=_METHOD,
+                  options=_OPTIONS)
     status = _STATUS.get(res.status)
     if status is None:
         raise LPSolveError(f"LP solver failed: {res.message}", f"scipy-{res.status}")

@@ -30,31 +30,26 @@ def estimate_factor_covariance(
 
     Diagonal entries average |Sigma_ij| over ordered pairs i != j inside a
     group (denominator m (m - 1)); off-diagonal entries average the
-    sign-corrected cross-group entries.  On a population covariance with the
-    exact partition this recovers C up to the group sign alignment.
+    sign-corrected cross-group entries.  Both come from products with the
+    signed pure rows R: R^T Sigma_II R off the diagonal, and |R|^T |Sigma_II|
+    |R| less the group's own |Sigma_ii| on it.  The upper triangle is
+    mirrored, so the result is exactly symmetric.  On a population covariance
+    with the exact partition this recovers C up to the group sign alignment.
     """
     if partition.signs is None:
         raise ValueError("partition carries no signs; run estimate_pure_rows first")
+    sizes = np.array([g.size for g in partition.groups], dtype=float)
+    if (sizes < 2).any():
+        a = int(np.argmax(sizes < 2))
+        raise ValueError(f"group {a} has fewer than two members")
     s = cov_values(sigma)
-    k = partition.k
-    c_hat = np.zeros((k, k))
-    signed = [
-        np.array([partition.signs[int(i)] for i in g], dtype=float)
-        for g in partition.groups
-    ]
-    for a, g in enumerate(partition.groups):
-        m = g.size
-        if m < 2:
-            raise ValueError(f"group {a} has fewer than two members")
-        block = np.abs(s[np.ix_(g, g)])
-        c_hat[a, a] = (block.sum() - np.trace(block)) / (m * (m - 1))
-    for a in range(k):
-        ga, sa = partition.groups[a], signed[a]
-        for b in range(a + 1, k):
-            gb, sb = partition.groups[b], signed[b]
-            value = sa @ s[np.ix_(ga, gb)] @ sb / (ga.size * gb.size)
-            c_hat[a, b] = c_hat[b, a] = value
-    return c_hat
+    pure_idx, rows = pure_loading_matrix(partition)
+    block = s[np.ix_(pure_idx, pure_idx)]
+    upper = np.triu(rows.T @ block @ rows, 1) / np.outer(sizes, sizes)
+    members = np.abs(rows)
+    within = (members * (np.abs(block) @ members)).sum(axis=0)
+    within -= np.abs(np.diag(block)) @ members
+    return upper + upper.T + np.diag(within / (sizes * (sizes - 1)))
 
 
 def estimate_cross_covariance_matrix(

@@ -1,19 +1,25 @@
-"""Precision-matrix estimation through a max-row-sum-constrained LP.
+"""Precision-matrix estimation through row-wise max-row-sum-constrained LPs.
 
-Given an estimated factor covariance M, the estimator solves
+Given an estimated factor covariance M, the estimator is
 
-    minimize t   over symmetric Omega, t >= 0
+    minimize t   over Omega (not constrained to be symmetric), t >= 0
     subject to   max |(Omega M - I)_ab|      <= lam * t
                  max_a sum_b |Omega_ab|      <= t
 
-The program is assembled over the K (K + 1) / 2 free entries of Omega, each
-split into a nonnegative positive and negative part; the row-sum constraint
-bounds the sum of both parts, which has the same projection onto (Omega, t)
-as bounding the true absolute row sums, so optima coincide.
+Both constraints act on one row of Omega at a time, so the program splits
+into K row programs: for row a, minimize t_a subject to
+|M^T w - e_a|_inf <= lam * t_a and |w|_1 <= t_a.  The feasible set of each
+row program grows with t, so the joint optimum is t_hat = max_a t_a, and the
+stacked row minimizers are the joint optimum at which every row also attains
+its own smallest t_a.  Each row program is a small LP over w's positive and
+negative parts and u = lam * t_a (2K + 1 variables); for data in general
+position its minimizer is unique, so Omega_hat does not depend on which
+solver or pivot order finds it, and permuting or sign-flipping M permutes
+and sign-flips Omega_hat alike.
 
-HiGHS solves the program (see ``love.lp``).  The optimal value t_hat is
-unique; the returned Omega is one optimal vertex, and the optimal set can
-hold more than one, so Omega is not unique.
+Bounding the sum of both parts of w has the same projection onto (w, t_a)
+as bounding |w|_1, so optima coincide.  HiGHS solves each program (see
+``love.lp``).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from .lp import LPSolveError, lp_solve
 
-__all__ = ["PrecisionEstimate", "estimate_precision", "precision_program"]
+__all__ = ["PrecisionEstimate", "estimate_precision"]
 
 
 @dataclass
@@ -43,26 +49,33 @@ class PrecisionEstimate:
         return float(np.abs(self.omega).sum(axis=1).max())
 
 
-def _pair_index(k: int) -> np.ndarray:
-    """Map (a, b) to the flat index of the unordered pair {a, b}."""
-    pair = np.zeros((k, k), dtype=int)
-    idx = 0
-    for a in range(k):
-        for b in range(a, k):
-            pair[a, b] = pair[b, a] = idx
-            idx += 1
-    return pair
+def _row_program(c_hat: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Objective and constraint matrix shared by the K row programs.
+
+    Variables are (w+, w-, u) with u = lam * t_a, all nonnegative; the rows
+    are M^T w - u <= e_a, -M^T w - u <= -e_a and lam * sum(w+ + w-) - u <= 0,
+    so only the right-hand side (e_a, -e_a, 0) depends on the row a.
+    """
+    k = c_hat.shape[0]
+    ct = c_hat.T
+    minus_u = -np.ones((k, 1))
+    a_ub = np.block([
+        [ct, -ct, minus_u],
+        [-ct, ct, minus_u],
+        [np.full((1, 2 * k), lam), -np.ones((1, 1))],
+    ])
+    objective = np.zeros(2 * k + 1)
+    objective[-1] = 1.0
+    return objective, a_ub
 
 
-def precision_program(c_hat: np.ndarray, lam: float) -> tuple[np.ndarray, ...]:
-    """Build the LP for a given factor covariance and constraint scale.
+def estimate_precision(c_hat: np.ndarray, lam: float) -> PrecisionEstimate:
+    """Solve the precision LP at constraint scale ``lam``, one row at a time.
 
-    The last variable is u = lam * t, so the residual constraints read
-    |(Omega M - I)_ab| <= u with O(1) coefficients and only the K row-sum
-    rows carry the lam scale; minimizing u minimizes t.  Every variable is
-    nonnegative.  Returns the objective ``c``, the inequality system
-    ``a_ub @ x <= b_ub``, and the pair-index map used to fold the solution
-    back into a symmetric matrix.
+    Every row program is feasible (w = 0, t_a = 1/lam), so a non-optimal
+    status indicates a numerical failure and raises ``LPSolveError``, an
+    ``EstimationError``.  ``iterations`` sums the solver's iterations over
+    the K row programs.
     """
     c_hat = np.atleast_2d(np.asarray(c_hat, dtype=float))
     k = c_hat.shape[0]
@@ -72,60 +85,26 @@ def precision_program(c_hat: np.ndarray, lam: float) -> tuple[np.ndarray, ...]:
         raise ValueError("factor covariance must be finite")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    pair = _pair_index(k)
-    n_pairs = k * (k + 1) // 2
-    n = 2 * n_pairs + 1  # positive parts, negative parts, u
-
-    blocks = []
-    rhs = []
+    c, a_ub = _row_program(c_hat, lam)
     eye = np.eye(k)
+    omega = np.empty((k, k))
+    t_hat = 0.0
+    iterations = 0
     for a in range(k):
-        block = np.zeros((k, n))
-        block[:, pair[a]] = c_hat.T
-        block[:, n_pairs + pair[a]] = -c_hat.T
-        block[:, -1] = -1.0
-        blocks.append(block)
-        rhs.append(eye[a])
-        minus = -block
-        minus[:, -1] = -1.0
-        blocks.append(minus)
-        rhs.append(-eye[a])
-    row_sum = np.zeros((k, n))
-    for a in range(k):
-        row_sum[a, pair[a]] = lam
-        row_sum[a, n_pairs + pair[a]] += lam
-        row_sum[a, -1] = -1.0
-    blocks.append(row_sum)
-    rhs.append(np.zeros(k))
-
-    objective = np.zeros(n)
-    objective[-1] = 1.0
-    return objective, np.vstack(blocks), np.concatenate(rhs), pair
-
-
-def estimate_precision(c_hat: np.ndarray, lam: float) -> PrecisionEstimate:
-    """Solve the precision LP at constraint scale ``lam``.
-
-    The program is always feasible (Omega = 0, t = 1/lam), so a non-optimal
-    status indicates a numerical failure and raises ``LPSolveError``, an
-    ``EstimationError``.
-    """
-    c_hat = np.atleast_2d(np.asarray(c_hat, dtype=float))
-    c, a_ub, b_ub, pair = precision_program(c_hat, lam)
-    result = lp_solve(c, a_ub, b_ub)
-    if result.status != "optimal":
-        raise LPSolveError(
-            f"precision LP ended with status {result.status}", result.status
-        )
-    k = c_hat.shape[0]
-    n_pairs = k * (k + 1) // 2
-    w = result.x[:n_pairs] - result.x[n_pairs : 2 * n_pairs]
-    omega = w[pair]
-    residual = float(np.abs(omega @ c_hat - np.eye(k)).max())
+        result = lp_solve(c, a_ub, np.concatenate([eye[a], -eye[a], [0.0]]))
+        if result.status != "optimal":
+            raise LPSolveError(
+                f"precision LP for row {a} ended with status {result.status}",
+                result.status,
+            )
+        omega[a] = result.x[:k] - result.x[k : 2 * k]
+        t_hat = max(t_hat, float(result.x[-1]) / lam)
+        iterations += result.iterations
+    residual = float(np.abs(omega @ c_hat - eye).max())
     return PrecisionEstimate(
         omega=omega,
-        t_hat=float(result.x[-1]) / lam,
+        t_hat=t_hat,
         lam=float(lam),
         residual=residual,
-        iterations=result.iterations,
+        iterations=iterations,
     )

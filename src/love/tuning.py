@@ -202,11 +202,13 @@ def cv_delta(
 def likelihood_loss(omega: np.ndarray, c: np.ndarray) -> float:
     """Gaussian likelihood loss <Omega, C> - log det(Omega).
 
-    Requires a positive definite Omega; raises ValueError otherwise.
+    Requires a positive definite Omega, that is one whose symmetric part
+    (Omega + Omega^T) / 2 is positive definite (the precision estimate need
+    not be symmetric); raises ValueError otherwise.
     """
     omega = np.asarray(omega, dtype=float)
     sign, logdet = np.linalg.slogdet(omega)
-    if sign <= 0 or np.linalg.eigvalsh(omega).min() <= 0:
+    if sign <= 0 or np.linalg.eigvalsh(0.5 * (omega + omega.T)).min() <= 0:
         raise ValueError("likelihood loss needs a positive definite matrix")
     return float(np.tensordot(omega, np.asarray(c, dtype=float)) - logdet)
 

@@ -11,8 +11,9 @@ from love.lp import LPSolveError, lp_solve
 from love.model import benchmark_covariance, benchmark_model, sample_dataset
 from love.precision import estimate_precision
 
-# optimal t from the two-phase simplex that solved the precision LP before
-# HiGHS did; t is unique even where the optimal Omega is not
+# optimal t of the joint symmetric precision LP, from the two-phase simplex
+# that solved it before HiGHS did; the row-wise estimator, which drops the
+# symmetry constraint, reaches the same t on these matrices
 SIMPLEX_T_HAT_BENCHMARK = {
     0.01: 0.8772567030077116,
     0.1: 0.7305385039901113,
@@ -140,9 +141,78 @@ class TestEstimatePrecision:
             est = estimate_precision(c, lam)
             assert est.residual <= lam * est.t_hat + 1e-6
 
-    def test_symmetry_is_exact(self):
-        est = estimate_precision(benchmark_covariance(), 0.05)
-        assert np.abs(est.omega - est.omega.T).max() <= 1e-9
+    def test_rows_are_their_own_lp_optima(self):
+        # each row solves min t s.t. |C^T w - e_a|_inf <= lam t, |w|_1 <= t,
+        # written here over (w free, s >= |w|, t); the minimizer is unique,
+        # so this independent formulation must land on the same row
+        c, lam = benchmark_covariance(), 0.05
+        k = c.shape[0]
+        est = estimate_precision(c, lam)
+        eye, zero, ones = np.eye(k), np.zeros((k, k)), np.ones((k, 1))
+        a_ub = np.block([
+            [c.T, zero, -lam * ones],
+            [-c.T, zero, -lam * ones],
+            [eye, -eye, np.zeros((k, 1))],
+            [-eye, -eye, np.zeros((k, 1))],
+            [np.zeros((1, k)), np.ones((1, k)), -np.ones((1, 1))],
+        ])
+        objective = np.zeros(2 * k + 1)
+        objective[-1] = 1.0
+        bounds = [(None, None)] * k + [(0.0, None)] * (k + 1)
+        t_rows = []
+        for a in range(k):
+            b_ub = np.concatenate([eye[a], -eye[a], np.zeros(2 * k + 1)])
+            result = lp_solve(objective, a_ub, b_ub, bounds=bounds)
+            assert result.status == "optimal"
+            assert np.abs(est.omega[a] - result.x[:k]).max() <= 1e-9, a
+            t_rows.append(result.x[-1])
+        assert est.t_hat == pytest.approx(max(t_rows), rel=1e-12)
+
+    def test_t_hat_matches_joint_non_symmetric_program(self):
+        # the joint program over all K^2 entries of Omega, with one t
+        rng = np.random.default_rng(6)
+        m = rng.standard_normal((6, 6))
+        c, lam = m @ m.T / 6 + 0.5 * np.eye(6), 0.1
+        k = c.shape[0]
+        n_w = k * k
+        kron = np.kron(np.eye(k), c.T)  # row (a, b) holds (Omega C)_ab
+        rows_of = np.kron(np.eye(k), np.ones((1, k)))  # sums row a of s
+        zero = np.zeros((n_w, n_w))
+        col = np.zeros((n_w, 1))
+        a_ub = np.block([
+            [kron, zero, -lam * np.ones((n_w, 1))],
+            [-kron, zero, -lam * np.ones((n_w, 1))],
+            [np.eye(n_w), -np.eye(n_w), col],
+            [-np.eye(n_w), -np.eye(n_w), col],
+            [np.zeros((k, n_w)), rows_of, -np.ones((k, 1))],
+        ])
+        target = np.eye(k).ravel()
+        b_ub = np.concatenate([target, -target, np.zeros(2 * n_w + k)])
+        objective = np.zeros(2 * n_w + 1)
+        objective[-1] = 1.0
+        bounds = [(None, None)] * n_w + [(0.0, None)] * (n_w + 1)
+        joint = lp_solve(objective, a_ub, b_ub, bounds=bounds)
+        assert joint.status == "optimal"
+        est = estimate_precision(c, lam)
+        assert est.t_hat == pytest.approx(joint.value, rel=1e-9)
+
+    @pytest.mark.parametrize("case", ["benchmark", "random_k30"])
+    def test_permutation_and_sign_equivariance(self, case):
+        if case == "benchmark":
+            c = benchmark_covariance()
+        else:
+            m = np.random.default_rng(30).standard_normal((30, 30))
+            c = m @ m.T / 30 + np.eye(30)
+        rng = np.random.default_rng(11)
+        k = c.shape[0]
+        perm = rng.permutation(k)
+        signs = rng.choice([-1.0, 1.0], size=k)
+        moved = (signs[:, None] * c * signs[None, :])[np.ix_(perm, perm)]
+        base = estimate_precision(c, 0.1)
+        est = estimate_precision(moved, 0.1)
+        expected = (signs[:, None] * base.omega * signs[None, :])[np.ix_(perm, perm)]
+        assert np.abs(est.omega - expected).max() <= 1e-9
+        assert est.t_hat == pytest.approx(base.t_hat, rel=1e-12)
 
     def test_scale_behaviour(self):
         # at vanishing lam the solution is the inverse, so scaling the input

@@ -9,11 +9,17 @@ from love import io as love_io
 from love.cli import main as cli_main
 from love.covariance import sample_covariance
 from love.exceptions import EstimationError
-from love.model import Dataset, population_covariance, sample_dataset, truth_diagnostics
+from love.model import (
+    Dataset,
+    benchmark_model,
+    population_covariance,
+    sample_dataset,
+    truth_diagnostics,
+)
 from love.evaluation import align_signed_permutation, support_sign_check
 from love.pipeline import RunConfig, fit_from_covariance, fit_pipeline, run_simulation
 from love.rows import HARD_THRESHOLD
-from love.tuning import default_delta_grid
+from love.tuning import default_delta_grid, delta_rate
 
 from conftest import three_factor_model
 
@@ -143,6 +149,26 @@ class TestFitPipeline:
         assert "lambda_trace" in fit.diagnostics
         low, high = fit.tuning.delta, 3 * fit.tuning.delta
         assert low - 1e-12 <= fit.tuning.lam <= high + 1e-12
+
+    @pytest.mark.parametrize("data_seed", [2, 3, 4])
+    def test_fixed_delta_fit_is_permutation_and_sign_equivariant(self, data_seed):
+        """Refitting on column-permuted, sign-flipped data at a fixed delta
+        returns the permuted, flipped loading up to a signed column permutation.
+
+        Delta chosen by cross-validation is not covered: the pure scan's merge
+        rule depends on column order, so the selected delta can move.
+        """
+        data = sample_dataset(benchmark_model(200, 31), 300, seed=data_seed)
+        rng = np.random.default_rng(100 + data_seed)
+        perm = rng.permutation(data.p)
+        signs = rng.choice([-1.0, 1.0], size=data.p)
+        moved = Dataset(samples=data.samples[:, perm] * signs)
+        config = RunConfig(delta=2.0 * delta_rate(data.n, data.p))
+        base = fit_pipeline(data, config).loading.a_hat
+        refit = fit_pipeline(moved, config).loading.a_hat
+        expected = base[perm] * signs[:, None]
+        aligned = align_signed_permutation(refit, expected).apply(refit)
+        assert np.abs(aligned - expected).max() <= 1e-9
 
     def test_noise_only_data_collapses_to_one_cluster(self):
         rng = np.random.default_rng(12)

@@ -7,6 +7,7 @@ import love.tuning
 from love.exceptions import EstimationError
 from love.model import Dataset, PurePartition, pure_set_of, sample_dataset, benchmark_model
 from love.moments import estimate_factor_covariance
+from love.precision import PrecisionEstimate
 from love.pure import estimate_pure_rows, find_pure_variables, pure_loading_matrix
 from love.tuning import (
     cv_criterion,
@@ -196,6 +197,18 @@ class TestCvLambda:
         assert lam == pytest.approx(0.01)
         assert all("skipped" in t for t in trace)
 
+    def test_non_symmetric_indefinite_candidate_is_skipped(self, monkeypatch):
+        # positive determinant, but the symmetric part has eigenvalues -4 and 6
+        omega = np.array([[1.0, 10.0], [0.0, 1.0]])
+        monkeypatch.setattr(
+            love.tuning,
+            "estimate_precision",
+            lambda c, lam: PrecisionEstimate(omega=omega, t_hat=1.0, lam=lam, residual=0.0),
+        )
+        lam, trace = cv_lambda(np.eye(2), np.eye(2), 0.1, grid=np.array([0.1, 0.2]))
+        assert lam == pytest.approx(0.1)
+        assert [t["skipped"] for t in trace] == ["not positive definite"] * 2
+
     def test_grid_must_stay_in_range(self):
         with pytest.raises(ValueError):
             cv_lambda(np.eye(2), np.eye(2), 0.1, grid=np.array([0.01]))
@@ -217,6 +230,12 @@ class TestLikelihoodLoss:
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ValueError):
             likelihood_loss(np.diag([1.0, -1.0]), np.eye(2))
+
+    def test_rejects_non_symmetric_with_indefinite_symmetric_part(self):
+        # det = 1 and the lower triangle alone is the identity, but
+        # (Omega + Omega^T) / 2 has eigenvalues -4 and 6
+        with pytest.raises(ValueError):
+            likelihood_loss(np.array([[1.0, 10.0], [0.0, 1.0]]), np.eye(2))
 
 
 def test_default_grid_and_rate():
