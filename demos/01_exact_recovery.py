@@ -37,7 +37,7 @@ report = validate_model(model)
 print("model valid:", report.ok, "| factor separation:", report.delta_c)
 
 sigma = population_covariance(model)
-print("\ncovariance between variable 1 and the mixed variable 7:", sigma.values[0, 6])
+print("\ncovariance between variable 1 and the mixed variable 7:", sigma[0, 6])
 
 fit = fit_from_covariance(sigma, delta=1e-6, lam=1e-8, mu=1e-6)
 print("\nrecovered number of factors:", fit.k_hat)

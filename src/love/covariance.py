@@ -2,57 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .model import Dataset
 
-__all__ = ["CovMatrix", "sample_covariance", "cov_values"]
+__all__ = ["sample_covariance"]
 
 
-@dataclass
-class CovMatrix:
-    """A symmetric p x p covariance matrix, population or sample.
-
-    ``n_used`` is the number of samples behind a sample covariance and 0 for
-    a population matrix.  ``centered`` records whether the sample mean was
-    removed.
-    """
-
-    values: np.ndarray
-    n_used: int = 0
-    centered: bool = False
-
-    def __post_init__(self) -> None:
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        p, q = self.values.shape
-        if p != q:
-            raise ValueError(f"covariance must be square, got {self.values.shape}")
-        if not np.allclose(self.values, self.values.T, atol=1e-12):
-            raise ValueError("covariance must be symmetric to 1e-12")
-        if (np.diag(self.values) < -1e-12).any():
-            raise ValueError("covariance diagonal must be nonnegative")
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[0]
-
-
-def cov_values(sigma: Union[CovMatrix, np.ndarray]) -> np.ndarray:
-    """Accept either a ``CovMatrix`` or a bare symmetric array."""
-    if isinstance(sigma, CovMatrix):
-        return sigma.values
-    return np.atleast_2d(np.asarray(sigma, dtype=float))
-
-
-def sample_covariance(data: Union[Dataset, np.ndarray], center: bool = True) -> CovMatrix:
-    """Second-moment matrix of the sample, divided by n.
+def sample_covariance(data: Union[Dataset, np.ndarray], center: bool = True) -> np.ndarray:
+    """Second-moment matrix of the sample, divided by n, as a (p, p) array.
 
     With ``center=False`` this is the raw second moment (1/n) sum x x^T;
     with ``center=True`` the sample mean is removed first and the divisor
-    stays n, not n - 1.  Centering needs at least two samples.
+    stays n, not n - 1.  Centering needs at least two samples.  The result
+    is exactly symmetric.
     """
     x = data.samples if isinstance(data, Dataset) else np.atleast_2d(np.asarray(data, dtype=float))
     n = x.shape[0]
@@ -60,6 +25,7 @@ def sample_covariance(data: Union[Dataset, np.ndarray], center: bool = True) -> 
         if n < 2:
             raise ValueError("centering requires at least 2 samples")
         x = x - x.mean(axis=0)
-    values = x.T @ x / n
-    values = 0.5 * (values + values.T)
-    return CovMatrix(values=values, n_used=n, centered=center)
+    # on a C-contiguous x numpy evaluates x^T x as a symmetric rank-k update,
+    # which fills one triangle and mirrors it; a strided x loses that
+    x = np.ascontiguousarray(x)
+    return x.T @ x / n

@@ -74,11 +74,6 @@ class SignedPermutation:
             direction.append((pos, neg) if self.signs[b] > 0 else (neg, pos))
         return ClusterSet(groups=groups, noise=clusters.noise, direction=direction)
 
-    def inverse(self) -> "SignedPermutation":
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.k)
-        return SignedPermutation(perm=inv, signs=self.signs[inv])
-
 
 def align_signed_permutation(a_hat: np.ndarray, a: np.ndarray) -> SignedPermutation:
     """Exact minimizer of ||A_hat P - A||_F over signed permutations P.

@@ -36,7 +36,6 @@ __all__ = [
     "benchmark_model",
     "sample_dataset",
     "rotation_counterexample",
-    "counterexample_model",
 ]
 
 #: tolerance used when validating the row scaling condition on general input
@@ -122,12 +121,6 @@ class PurePartition:
         if self.signs is None:
             raise ValueError("partition carries no signs")
         return np.array([self.signs[int(i)] for i in self.groups[a]], dtype=int)
-
-    def direction_split(self, a: int) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of group ``a`` split by loading sign (positive, negative)."""
-        s = self.group_signs(a)
-        g = self.groups[a]
-        return g[s > 0], g[s < 0]
 
 
 @dataclass
@@ -257,13 +250,10 @@ def validate_model(model: FactorModel) -> ValidationReport:
     return report
 
 
-def population_covariance(model: FactorModel):
+def population_covariance(model: FactorModel) -> np.ndarray:
     """Exact covariance of X under the model: A C A^T + diag(Gamma)."""
-    from .covariance import CovMatrix
-
     values = model.A @ model.C @ model.A.T + np.diag(model.Gamma)
-    values = 0.5 * (values + values.T)
-    return CovMatrix(values=values, n_used=0, centered=False)
+    return 0.5 * (values + values.T)
 
 
 def pure_set_of(A: np.ndarray) -> PurePartition:
@@ -453,10 +443,3 @@ def rotation_counterexample() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
         ]
     )
     return C, Q, row, row_rotated
-
-
-def counterexample_model(p: int = 6) -> FactorModel:
-    """A model built from the counterexample row: it has no pure rows."""
-    C, _, row, _ = rotation_counterexample()
-    A = np.tile(row, (p, 1))
-    return FactorModel(A=A, C=C, Gamma=np.ones(p))

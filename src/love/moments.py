@@ -9,11 +9,10 @@ and X_j.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .covariance import CovMatrix, cov_values
 from .model import PurePartition
 from .pure import pure_loading_matrix
 
@@ -23,9 +22,7 @@ __all__ = [
 ]
 
 
-def estimate_factor_covariance(
-    sigma: Union[CovMatrix, np.ndarray], partition: PurePartition
-) -> np.ndarray:
+def estimate_factor_covariance(sigma: np.ndarray, partition: PurePartition) -> np.ndarray:
     """Estimate Cov(Z) from the pure blocks of the covariance.
 
     Diagonal entries average |Sigma_ij| over ordered pairs i != j inside a
@@ -42,9 +39,8 @@ def estimate_factor_covariance(
     if (sizes < 2).any():
         a = int(np.argmax(sizes < 2))
         raise ValueError(f"group {a} has fewer than two members")
-    s = cov_values(sigma)
     pure_idx, rows = pure_loading_matrix(partition)
-    block = s[np.ix_(pure_idx, pure_idx)]
+    block = sigma[np.ix_(pure_idx, pure_idx)]
     upper = np.triu(rows.T @ block @ rows, 1) / np.outer(sizes, sizes)
     members = np.abs(rows)
     within = (members * (np.abs(block) @ members)).sum(axis=0)
@@ -53,7 +49,7 @@ def estimate_factor_covariance(
 
 
 def estimate_cross_covariance_matrix(
-    sigma: Union[CovMatrix, np.ndarray],
+    sigma: np.ndarray,
     partition: PurePartition,
     cols: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -63,11 +59,10 @@ def estimate_cross_covariance_matrix(
     """
     if partition.signs is None:
         raise ValueError("partition carries no signs; run estimate_pure_rows first")
-    s = cov_values(sigma)
     if cols is None:
-        cols = np.setdiff1d(np.arange(s.shape[0]), partition.pure_set)
+        cols = np.setdiff1d(np.arange(sigma.shape[0]), partition.pure_set)
     cols = np.asarray(cols, dtype=int)
     pure_idx, rows = pure_loading_matrix(partition)
     sizes = np.array([g.size for g in partition.groups], dtype=float)
     # theta_a = (1/m_a) sum_{i in group a} sign_i Sigma_ij
-    return (rows.T @ s[np.ix_(pure_idx, cols)]) / sizes[:, None]
+    return (rows.T @ sigma[np.ix_(pure_idx, cols)]) / sizes[:, None]

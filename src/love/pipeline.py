@@ -4,7 +4,8 @@
 delta selection by cross-validation (unless overridden), pure-variable
 detection and signing, factor-covariance and precision estimation, row-wise
 sparse estimation, assembly, and cluster extraction.  ``fit_from_covariance``
-is the covariance-level core, which also serves population-covariance runs.
+checks a caller's covariance, for instance a population covariance, and runs
+the same stages; ``fit_pipeline`` hands them the covariance it built itself.
 ``run_simulation`` repeats generate/sample/fit/score cycles and aggregates.
 """
 
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .clusters import ClusterSet, clusters_from_loadings
-from .covariance import CovMatrix, sample_covariance
+from .covariance import sample_covariance
 from .evaluation import EvalReport, evaluate_estimate
 from .exceptions import EstimationError
 from .model import (
@@ -99,18 +100,41 @@ class FitResult:
 
 
 def fit_from_covariance(
-    cov: CovMatrix,
+    cov: np.ndarray,
     delta: float,
     lam: float,
     mu: Optional[float] = None,
     row_method: str = SOFT_PROJECT,
 ) -> FitResult:
-    """Run the estimation stages from a covariance matrix.
+    """Run the estimation stages from a caller's (p, p) covariance matrix.
 
     ``mu=None`` applies the plug-in rule: the precision row-sum norm times
-    ``delta``.  Raises ``EstimationError`` when no pure variables are found
-    and ``ValueError`` on an unknown ``row_method``.
+    ``delta``.  Raises ``ValueError`` unless ``cov`` is square, symmetric in
+    the sense of ``np.allclose(cov, cov.T, atol=1e-12)`` and has no diagonal
+    entry below -1e-12, and on an unknown ``row_method``; raises
+    ``EstimationError`` when no pure variables are found.
     """
+    return _fit_stages(_check_covariance(cov), delta, lam, mu, row_method)
+
+
+def _check_covariance(cov: np.ndarray) -> np.ndarray:
+    """The caller's covariance as a float array, or ``ValueError``."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ValueError(f"covariance must be a square matrix, got shape {cov.shape}")
+    if not np.allclose(cov, cov.T, atol=1e-12):
+        raise ValueError(
+            "covariance must be symmetric: |cov - cov^T| <= 1e-12 + 1e-5 |cov^T| entrywise"
+        )
+    if (np.diag(cov) < -1e-12).any():
+        raise ValueError("covariance diagonal must be nonnegative")
+    return cov
+
+
+def _fit_stages(
+    cov: np.ndarray, delta: float, lam: float, mu: Optional[float], row_method: str
+) -> FitResult:
+    """The estimation stages on a covariance that is already known to be valid."""
     if row_method not in (SOFT_PROJECT, HARD_THRESHOLD):
         raise ValueError(f"unknown row method {row_method!r}")
     partition, scan = find_pure_variables(cov, delta)
@@ -120,7 +144,7 @@ def fit_from_covariance(
             diagnostics={"pure_scan": scan.record()},
         )
     signed, sign_warnings = estimate_pure_rows(cov, partition)
-    p = cov.p
+    p = cov.shape[0]
 
     diagnostics: dict = {
         "pure_scan": scan.record(),
@@ -192,13 +216,7 @@ def fit_pipeline(data: Dataset, config: RunConfig) -> FitResult:
         lam, lam_trace = _lambda_by_cv(data, config, delta)
         lambda_source = "cv"
 
-    result = fit_from_covariance(
-        cov_full,
-        delta=delta,
-        lam=lam,
-        mu=config.mu,
-        row_method=config.row_method,
-    )
+    result = _fit_stages(cov_full, delta, lam, config.mu, config.row_method)
     tuning = result.tuning
     tuning.delta_source = delta_source
     tuning.lambda_source = lambda_source

@@ -83,8 +83,8 @@ def estimate_precision(c_hat: np.ndarray, lam: float) -> PrecisionEstimate:
         raise ValueError("factor covariance must be square")
     if not np.isfinite(c_hat).all():
         raise ValueError("factor covariance must be finite")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be finite and positive")
     c, a_ub = _row_program(c_hat, lam)
     eye = np.eye(k)
     omega = np.empty((k, k))

@@ -25,11 +25,9 @@ records each rejected variable's witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
-from .covariance import CovMatrix, cov_values
 from .model import PurePartition
 
 __all__ = [
@@ -124,7 +122,7 @@ def _first_candidate_index(block: np.ndarray, row_max: np.ndarray, t: np.ndarray
     return first
 
 
-def _scan(sigma: Union[CovMatrix, np.ndarray], two_deltas: np.ndarray):
+def _scan(sigma: np.ndarray, two_deltas: np.ndarray):
     """One blocked pass over |Sigma| at the sorted, distinct ``two_deltas``.
 
     Returns ``(row_max, pure, joins, witness)``: ``pure[j]`` holds the flags
@@ -133,7 +131,7 @@ def _scan(sigma: Union[CovMatrix, np.ndarray], two_deltas: np.ndarray):
     set (i itself joins at 0, ``two_deltas.size`` means never); ``witness``
     is kept for one-point scans only, and is None otherwise.
     """
-    s = np.abs(cov_values(sigma))
+    s = np.abs(sigma)
     p = s.shape[0]
     if p < 2:
         raise ValueError("need at least two variables")
@@ -169,9 +167,7 @@ def _scan(sigma: Union[CovMatrix, np.ndarray], two_deltas: np.ndarray):
     return row_max, pure, joins, witness
 
 
-def scan_delta_grid(
-    sigma: Union[CovMatrix, np.ndarray], deltas: np.ndarray
-) -> list[PurePartition]:
+def scan_delta_grid(sigma: np.ndarray, deltas: np.ndarray) -> list[PurePartition]:
     """The unsigned partition at every delta of ``deltas``, in the given order.
 
     One pass over the covariance serves the whole grid; each partition
@@ -181,8 +177,8 @@ def scan_delta_grid(
     deltas = np.asarray(deltas, dtype=float).reshape(-1)
     if deltas.size == 0:
         raise ValueError("the delta grid must be nonempty")
-    if (deltas < 0).any():
-        raise ValueError("delta must be nonnegative")
+    if not ((deltas >= 0) & (deltas < np.inf)).all():
+        raise ValueError("delta must be finite and nonnegative")
     two_deltas, position = np.unique(2.0 * deltas, return_inverse=True)
     _, pure, joins, _ = _scan(sigma, two_deltas)
     partitions = [PurePartition(groups=_merge(flags, joins, j)[0]) for j, flags in enumerate(pure)]
@@ -190,7 +186,7 @@ def scan_delta_grid(
 
 
 def find_pure_variables(
-    sigma: Union[CovMatrix, np.ndarray], delta: float
+    sigma: np.ndarray, delta: float
 ) -> tuple[PurePartition, PureScan]:
     """Detect the pure variables and their partition from a covariance.
 
@@ -199,8 +195,8 @@ def find_pure_variables(
     partition is a flagged condition, not an exception; callers abort with a
     diagnostic.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0 <= delta < np.inf:
+        raise ValueError("delta must be finite and nonnegative")
     row_max, pure, joins, witness = _scan(sigma, np.array([2.0 * delta]))
     kept, dissolved = _merge(pure[0], joins, 0)
     scan = PureScan(
@@ -210,7 +206,7 @@ def find_pure_variables(
 
 
 def estimate_pure_rows(
-    sigma: Union[CovMatrix, np.ndarray], partition: PurePartition
+    sigma: np.ndarray, partition: PurePartition
 ) -> tuple[PurePartition, list[tuple[int, int]]]:
     """Assign a sign to every pure variable, anchored per group.
 
@@ -218,7 +214,6 @@ def estimate_pure_rows(
     sign of its covariance with the anchor.  A covariance of exactly zero
     defaults to +1 and the pair is reported in the warning list.
     """
-    s = cov_values(sigma)
     signs: dict[int, int] = {}
     warnings: list[tuple[int, int]] = []
     for g in partition.groups:
@@ -230,7 +225,7 @@ def estimate_pure_rows(
             j = int(j)
             if j == anchor:
                 continue
-            value = s[anchor, j]
+            value = sigma[anchor, j]
             if value == 0.0:
                 signs[j] = 1
                 warnings.append((anchor, j))

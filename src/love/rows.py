@@ -42,8 +42,8 @@ def sparse_project(beta_bar: np.ndarray, mu: float) -> np.ndarray:
     The minimization separates per coordinate, so the unique optimum is the
     componentwise soft threshold sign(b) * max(|b| - mu, 0).
     """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    if not 0 <= mu < np.inf:
+        raise ValueError("mu must be finite and nonnegative")
     beta_bar = np.asarray(beta_bar, dtype=float)
     return np.sign(beta_bar) * np.maximum(np.abs(beta_bar) - mu, 0.0)
 
@@ -54,8 +54,8 @@ def hard_threshold(beta_bar: np.ndarray, mu: float) -> np.ndarray:
     Unlike :func:`sparse_project`, the surviving entries are not shrunk, so
     the row l1 norm may exceed 1.
     """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    if not 0 <= mu < np.inf:
+        raise ValueError("mu must be finite and nonnegative")
     beta_bar = np.asarray(beta_bar, dtype=float)
     return np.where(np.abs(beta_bar) > mu, beta_bar, 0.0)
 

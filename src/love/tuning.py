@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .covariance import CovMatrix, sample_covariance
+from .covariance import sample_covariance
 from .exceptions import EstimationError
 from .model import Dataset, PurePartition
 from .moments import estimate_factor_covariance
@@ -108,7 +108,7 @@ def split_halves(data: Dataset, seed: Optional[int]) -> tuple[np.ndarray, np.nda
 
 
 def cv_criterion(
-    sigma_holdout: Union[CovMatrix, np.ndarray],
+    sigma_holdout: np.ndarray,
     partition: PurePartition,
     c_hat: np.ndarray,
 ) -> float:
@@ -120,11 +120,10 @@ def cv_criterion(
     """
     if partition.k == 0 or any(g.size < 2 for g in partition.groups):
         return math.inf
-    values = sigma_holdout.values if isinstance(sigma_holdout, CovMatrix) else np.asarray(sigma_holdout)
     pure_idx, rows = pure_loading_matrix(partition)
     size = pure_idx.size
     fitted = rows @ c_hat @ rows.T
-    diff = values[np.ix_(pure_idx, pure_idx)] - fitted
+    diff = sigma_holdout[np.ix_(pure_idx, pure_idx)] - fitted
     np.fill_diagonal(diff, 0.0)
     return float(np.linalg.norm(diff) / math.sqrt(size * (size - 1)))
 

@@ -9,7 +9,6 @@ from love.model import (
     FactorModel,
     benchmark_covariance,
     benchmark_model,
-    counterexample_model,
     population_covariance,
     pure_set_of,
     rotation_counterexample,
@@ -29,7 +28,9 @@ class TestValidateModel:
         assert report.pure_counts.tolist() == [2]
 
     def test_model_without_pure_rows_violates_pure_condition(self):
-        report = validate_model(counterexample_model())
+        # every row is the counterexample row, which loads on all three factors
+        c, _, row, _ = rotation_counterexample()
+        report = validate_model(FactorModel(A=np.tile(row, (6, 1)), C=c, Gamma=np.ones(6)))
         assert not report.ok
         assert any("pure" in v for v in report.violations)
 
@@ -59,12 +60,12 @@ class TestPopulationCovariance:
     def test_rank_one_case(self):
         c, g = 1.7, 0.3
         model = FactorModel(A=[[1.0], [1.0]], C=[[c]], Gamma=[g, g])
-        sigma = population_covariance(model).values
+        sigma = population_covariance(model)
         assert sigma[0, 1] == pytest.approx(c)
         assert sigma[0, 0] == pytest.approx(c + g)
 
     def test_mixed_row_entries(self, toy_sigma):
-        sigma = toy_sigma.values
+        sigma = toy_sigma
         assert sigma[0, 6] == pytest.approx(0.4, abs=1e-15)
         assert sigma[2, 6] == pytest.approx(0.6, abs=1e-15)
         assert sigma[6, 7] == pytest.approx(-0.2, abs=1e-15)
@@ -74,7 +75,7 @@ class TestPopulationCovariance:
         # within a pure group every |Sigma_ij| equals C_aa exactly; outside
         # the group the entries stay strictly below
         model = toy_model if fixture == "toy" else design_model
-        sigma = population_covariance(model).values
+        sigma = population_covariance(model)
         partition = pure_set_of(model.A)
         for a, group in enumerate(partition.groups):
             caa = model.C[a, a]
@@ -204,7 +205,7 @@ class TestSampleDataset:
         data = sample_dataset(design_model, 100_000, seed=21)
         sigma_hat = sample_covariance(data, center=False)
         sigma = population_covariance(design_model)
-        assert np.abs(sigma_hat.values - sigma.values).max() < 0.1
+        assert np.abs(sigma_hat - sigma).max() < 0.1
 
     def test_non_positive_definite_c_raises(self):
         a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])

@@ -16,7 +16,7 @@ from love.model import (
     sample_dataset,
     truth_diagnostics,
 )
-from love.evaluation import align_signed_permutation, support_sign_check
+from love.evaluation import align_signed_permutation, lq_loss, support_sign_check
 from love.pipeline import RunConfig, fit_from_covariance, fit_pipeline, run_simulation
 from love.rows import HARD_THRESHOLD
 from love.tuning import default_delta_grid, delta_rate
@@ -76,7 +76,6 @@ class TestFitFromCovariance:
             )
             sigma = population_covariance(model)
             fit = fit_from_covariance(sigma, delta=1e-8, lam=1e-8, mu=1e-6)
-            from love.evaluation import lq_loss
 
             assert fit.k_hat == k, trial
             assert lq_loss(fit.loading.a_hat, model.A, math.inf) < 1e-4, trial
@@ -90,11 +89,38 @@ class TestFitFromCovariance:
                 [0.85, 0.45, 1.00, 1.5],
             ]
         )
-        from love.covariance import CovMatrix
-
         with pytest.raises(EstimationError) as err:
-            fit_from_covariance(CovMatrix(values=sigma), delta=0.1, lam=0.1)
+            fit_from_covariance(sigma, delta=0.1, lam=0.1)
         assert "pure_scan" in err.value.diagnostics
+
+    def test_plain_array_fit(self, toy_model):
+        sigma = toy_model.A @ toy_model.C @ toy_model.A.T + np.diag(toy_model.Gamma)
+        fit = fit_from_covariance(sigma, delta=1e-6, lam=1e-8, mu=1e-6)
+        assert fit.k_hat == 3
+        assert lq_loss(fit.loading.a_hat, toy_model.A, math.inf) < 1e-4
+
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            np.array([[1.0, 0.5], [0.4, 1.0]]),
+            np.ones((2, 3)),
+            np.array([[1.0, 0.5], [0.5, -0.1]]),
+        ],
+        ids=["asymmetric", "non_square", "negative_diagonal"],
+    )
+    def test_rejects_invalid_covariance(self, cov):
+        with pytest.raises(ValueError, match="covariance"):
+            fit_from_covariance(cov, delta=0.1, lam=0.1)
+
+    def test_fit_pipeline_does_not_recheck_its_own_covariance(self, toy_model, monkeypatch):
+        def refuse(cov):
+            raise AssertionError("boundary check called")
+
+        monkeypatch.setattr(love.pipeline, "_check_covariance", refuse)
+        data = sample_dataset(toy_model, 500, seed=6)
+        assert fit_pipeline(data, RunConfig(seed=0)).k_hat >= 1
+        with pytest.raises(AssertionError):
+            fit_from_covariance(sample_covariance(data), delta=0.2, lam=0.2)
 
 
 class TestPluginMu:
@@ -442,3 +468,23 @@ class TestCli:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--delta=nan",
+            "--delta=inf",
+            "--mu=nan",
+            "--mu=inf",
+            "--lambda=nan",
+            "--lambda=inf",
+            "--grid-min=nan",
+        ],
+    )
+    def test_non_finite_tuning_value_exits_one(self, tmp_path, capsys, flag):
+        csv_path = tmp_path / "data.csv"
+        self._write_toy_csv(csv_path, n=500, seed=19)
+        fit_path = tmp_path / "fit.json"
+        assert cli_main(["fit", "--input", str(csv_path), "--out", str(fit_path), flag]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not fit_path.exists() and not fit_path.with_suffix(".cv.csv").exists()

@@ -76,19 +76,19 @@ class TestCandidateSet:
     def test_two_variable_case(self):
         model = FactorModel(A=[[1.0], [1.0]], C=[[2.0]], Gamma=[1.0, 1.0])
         sigma = population_covariance(model)
-        assert naive_candidates(sigma.values, 0, 0.5) == [1]
+        assert naive_candidates(sigma, 0, 0.5) == [1]
         partition, scan = find_pure_variables(sigma, 0.5)
         assert scan.pure_flags.tolist() == [True, True]
         assert [g.tolist() for g in partition.groups] == [[0, 1]]
 
     def test_toy_pure_row(self, toy_sigma):
-        assert naive_candidates(toy_sigma.values, 0, 0.01) == [1]
+        assert naive_candidates(toy_sigma, 0, 0.01) == [1]
         partition, scan = find_pure_variables(toy_sigma, 0.01)
         assert scan.pure_flags[0]
         assert group_of(partition, 0) == [0, 1]
 
     def test_toy_mixed_row_has_two_argmaxes(self, toy_sigma):
-        assert naive_candidates(toy_sigma.values, 6, 0.01) == [2, 3]
+        assert naive_candidates(toy_sigma, 6, 0.01) == [2, 3]
         _, scan = find_pure_variables(toy_sigma, 0.01)
         assert not scan.pure_flags[6]
         assert scan.witness[6] == naive_scan(toy_sigma, 0.01)[3][6]
@@ -251,7 +251,7 @@ class TestFindPureVariables:
             assert got == sorted(tuple(g.tolist()) for g in truth.groups), trial
 
     def test_permutation_equivariance(self, toy_model):
-        sigma = population_covariance(toy_model).values
+        sigma = population_covariance(toy_model)
         rng = np.random.default_rng(11)
         perm = rng.permutation(toy_model.p)
         permuted = sigma[np.ix_(perm, perm)]
@@ -309,11 +309,11 @@ class TestFindPureVariables:
 
     def test_scan_candidates_contain_row_argmaxes(self, toy_sigma):
         _, scan = find_pure_variables(toy_sigma, 0.05)
-        s = np.abs(toy_sigma.values).copy()
+        s = np.abs(toy_sigma).copy()
         np.fill_diagonal(s, -np.inf)
         for i in range(8):
             argmaxes = np.nonzero(s[i] == s[i].max())[0]
-            assert set(argmaxes) <= set(naive_candidates(toy_sigma.values, i, 0.05))
+            assert set(argmaxes) <= set(naive_candidates(toy_sigma, i, 0.05))
             assert scan.row_max[i] == s[i].max()
         assert_scan_matches_oracle(toy_sigma, 0.05)
 
@@ -358,16 +358,17 @@ class TestEstimatePureRows:
     def test_all_positive_group_has_empty_negative_part(self, toy_sigma):
         partition, _ = find_pure_variables(toy_sigma, 0.01)
         signed, _ = estimate_pure_rows(toy_sigma, partition)
-        pos, neg = signed.direction_split(1)
-        assert pos.tolist() == [2, 3] and neg.size == 0
+        assert signed.groups[1].tolist() == [2, 3]
+        assert signed.group_signs(1).tolist() == [1, 1]
 
     def test_design_sign_split_counts(self, design_sigma):
         partition, _ = find_pure_variables(design_sigma, 0.01)
         signed, _ = estimate_pure_rows(design_sigma, partition)
-        splits = sorted(
-            (max(len(p), len(n)), min(len(p), len(n)))
-            for p, n in (signed.direction_split(a) for a in range(signed.k))
-        )
+        counts = [
+            (int((s > 0).sum()), int((s < 0).sum()))
+            for s in (signed.group_signs(a) for a in range(signed.k))
+        ]
+        splits = sorted((max(pos, neg), min(pos, neg)) for pos, neg in counts)
         # patterns (3,2), (4,1), (2,3), (1,4), (5,0) four times each, up to
         # the unidentifiable global sign of a group
         assert splits == sorted([(3, 2), (4, 1), (3, 2), (4, 1), (5, 0)] * 4)
@@ -375,7 +376,7 @@ class TestEstimatePureRows:
     def test_triple_product_sign_consistency(self, design_sigma):
         partition, _ = find_pure_variables(design_sigma, 0.01)
         signed, _ = estimate_pure_rows(design_sigma, partition)
-        s = design_sigma.values
+        s = design_sigma
         for a in range(signed.k):
             g = signed.groups[a]
             for i in range(len(g)):

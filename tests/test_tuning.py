@@ -73,7 +73,7 @@ class TestCvCriterion:
                 if i == j:
                     continue
                 fitted = rows[r] @ c_hat @ rows[s]
-                total += (toy_sigma.values[i, j] - fitted) ** 2
+                total += (toy_sigma[i, j] - fitted) ** 2
         expected = math.sqrt(total) / math.sqrt(idx.size * (idx.size - 1))
         assert value == pytest.approx(expected, abs=1e-12)
 
